@@ -15,7 +15,6 @@
 #include "nn/Beam.h"
 #include "nn/DraftModel.h"
 #include "nn/Mat.h"
-#include "nn/Parallel.h"
 #include "nn/SpecDecode.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -283,38 +282,6 @@ void BM_GemmPrepacked(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 2LL * M * K * N);
 }
 BENCHMARK(BM_GemmPrepacked)->Arg(0)->Arg(1);
-
-/// One 5-beam batched decode tick with the intra-tick pool installed
-/// (BatchDecodeState::TP), arg = worker threads. Arg 1 is the
-/// sequential path (a one-thread ParallelFor spawns no workers) and
-/// must stay within noise of BM_DecodeStepBatched5 — that delta is the
-/// --tick-threads 1 overhead budget (<2%). On a multi-core host the
-/// higher args show the intra-tick scaling a single request gets.
-void BM_TickThreadScaling(benchmark::State &State) {
-  nn::TransformerConfig MC;
-  MC.Vocab = 512;
-  nn::Transformer Model(MC);
-  std::vector<int> Src(128, 5);
-  auto Enc = Model.encodeSource(Src);
-  nn::ParallelFor TP(static_cast<int>(State.range(0)));
-  nn::Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Enc, 5, 256);
-  St.TP = &TP;
-  Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-  Model.reorderBeams(St, {0, 0, 0, 0, 0});
-  std::vector<int> Tokens = {7, 8, 9, 10, 11};
-  for (auto _ : State) {
-    auto Logits = Model.stepDecodeBatch(St, Tokens);
-    benchmark::DoNotOptimize(Logits);
-    if (St.Len > 200) {
-      St = Model.startDecodeBatch(Enc, 5, 256);
-      St.TP = &TP;
-      Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-      Model.reorderBeams(St, {0, 0, 0, 0, 0});
-    }
-  }
-}
-BENCHMARK(BM_TickThreadScaling)->Arg(1)->Arg(2)->Arg(4);
 
 /// The observability tax on the decode hot loop: one batched decode
 /// step wrapped in EXACTLY the per-tick instrumentation the engine's

@@ -174,13 +174,10 @@ public:
 
   /// Encodes \p Src through the shared encoder LRU (hit = the whole
   /// encoder pass is skipped). Thread-safe; used by decompile/translate
-  /// and by the serve scheduler's batched decode. \p TP (optional)
-  /// fans the miss-path encoder rows out over an intra-tick worker pool;
-  /// the cached bytes are identical either way.
+  /// and by the serve scheduler's batched decode.
   std::shared_ptr<const nn::Transformer::EncoderCache>
-  encodeCached(const std::vector<int> &Src,
-               nn::ParallelFor *TP = nullptr) const {
-    return EncCache.get(Model, Src, TP);
+  encodeCached(const std::vector<int> &Src) const {
+    return EncCache.get(Model, Src);
   }
 
   /// Attaches a distilled draft decoder (nn/DraftModel.h) for

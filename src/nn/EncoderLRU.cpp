@@ -41,8 +41,7 @@ void EncoderLRU::evictOne() {
 }
 
 std::shared_ptr<const Transformer::EncoderCache>
-EncoderLRU::get(const Transformer &Model, const std::vector<int> &Src,
-                ParallelFor *TP) {
+EncoderLRU::get(const Transformer &Model, const std::vector<int> &Src) {
   uint64_t Hash = hashTokens(Src);
   uint64_t Version = Model.weightVersion();
   {
@@ -62,7 +61,7 @@ EncoderLRU::get(const Transformer &Model, const std::vector<int> &Src,
   // parallel. The cold-encode wall time feeds the serving metrics.
   auto T0 = std::chrono::steady_clock::now();
   std::shared_ptr<const Transformer::EncoderCache> Enc =
-      Model.encodeSource(Src, TP);
+      Model.encodeSource(Src);
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
           .count();

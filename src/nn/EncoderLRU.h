@@ -44,13 +44,9 @@ public:
       : Cap(Capacity ? Capacity : 1), Budget(ByteBudget) {}
 
   /// Returns the encoder cache for \p Src under \p Model's current
-  /// weights, computing and inserting it on a miss. \p TP (optional,
-  /// non-owning) parallelizes the miss-path encode across its workers;
-  /// the cached result is bit-identical either way, so hits and misses
-  /// never depend on who encoded.
+  /// weights, computing and inserting it on a miss.
   std::shared_ptr<const Transformer::EncoderCache>
-  get(const Transformer &Model, const std::vector<int> &Src,
-      ParallelFor *TP = nullptr);
+  get(const Transformer &Model, const std::vector<int> &Src);
 
   struct Stats {
     uint64_t Hits = 0;

@@ -105,108 +105,37 @@ size_t slade::nn::encodeScratchRetainedBytes() {
 // Encoder fast path
 //===----------------------------------------------------------------------===//
 
-// Every helper below partitions OUTPUT elements only (row ranges when
-// there are enough rows to feed the pool, column-tile ranges otherwise);
-// each element's K-reduction runs sequentially on one thread, so every
-// split is bit-identical to the sequential kernel.
-
 void InferRuntime::linearRowsBiasAfter(const float *X, int Rows,
                                        const PackedMat &W, const float *Bias,
-                                       float *Out, ParallelFor *TP) const {
-  int InD = W.K, OutD = W.N;
-  auto RowRange = [&](int B, int E, int) {
-    std::fill(Out + static_cast<size_t>(B) * OutD,
-              Out + static_cast<size_t>(E) * OutD, 0.0f);
-    gemmAccPacked(X + static_cast<size_t>(B) * InD, W,
-                  Out + static_cast<size_t>(B) * OutD, E - B);
-    for (int R = B; R < E; ++R) {
-      float *Row = Out + static_cast<size_t>(R) * OutD;
-      for (int J = 0; J < OutD; ++J)
-        Row[J] += Bias[static_cast<size_t>(J)];
-    }
-  };
-  if (!TP || TP->threads() <= 1) {
-    RowRange(0, Rows, 0);
-  } else if (Rows >= TP->threads()) {
-    TP->run(Rows, RowRange);
-  } else {
-    TP->run(W.tileCount(), [&](int T0, int T1, int) {
-      int J0 = T0 * GemmTileN, J1 = std::min(OutD, T1 * GemmTileN);
-      for (int R = 0; R < Rows; ++R)
-        std::fill(Out + static_cast<size_t>(R) * OutD + J0,
-                  Out + static_cast<size_t>(R) * OutD + J1, 0.0f);
-      gemmAccPackedTiles(X, W, Out, Rows, T0, T1);
-      for (int R = 0; R < Rows; ++R) {
-        float *Row = Out + static_cast<size_t>(R) * OutD;
-        for (int J = J0; J < J1; ++J)
-          Row[J] += Bias[static_cast<size_t>(J)];
-      }
-    });
+                                       float *Out) const {
+  int OutD = W.N;
+  std::fill(Out, Out + static_cast<size_t>(Rows) * OutD, 0.0f);
+  gemmAccPacked(X, W, Out, Rows);
+  for (int R = 0; R < Rows; ++R) {
+    float *Row = Out + static_cast<size_t>(R) * OutD;
+    for (int J = 0; J < OutD; ++J)
+      Row[J] += Bias[static_cast<size_t>(J)];
   }
 }
 
 void InferRuntime::linearRows(const float *X, int Rows, const PackedMat &W,
-                              const float *Bias, float *Out,
-                              ParallelFor *TP) const {
-  int InD = W.K, OutD = W.N;
-  auto RowRange = [&](int B, int E, int) {
-    for (int R = B; R < E; ++R)
-      std::memcpy(Out + static_cast<size_t>(R) * OutD, Bias,
-                  static_cast<size_t>(OutD) * sizeof(float));
-    gemmAccPacked(X + static_cast<size_t>(B) * InD, W,
-                  Out + static_cast<size_t>(B) * OutD, E - B);
-  };
-  if (!TP || TP->threads() <= 1) {
-    RowRange(0, Rows, 0);
-  } else if (Rows >= TP->threads()) {
-    TP->run(Rows, RowRange);
-  } else {
-    TP->run(W.tileCount(), [&](int T0, int T1, int) {
-      int J0 = T0 * GemmTileN, J1 = std::min(OutD, T1 * GemmTileN);
-      for (int R = 0; R < Rows; ++R)
-        std::memcpy(Out + static_cast<size_t>(R) * OutD + J0, Bias + J0,
-                    static_cast<size_t>(J1 - J0) * sizeof(float));
-      gemmAccPackedTiles(X, W, Out, Rows, T0, T1);
-    });
-  }
+                              const float *Bias, float *Out) const {
+  int OutD = W.N;
+  for (int R = 0; R < Rows; ++R)
+    std::memcpy(Out + static_cast<size_t>(R) * OutD, Bias,
+                static_cast<size_t>(OutD) * sizeof(float));
+  gemmAccPacked(X, W, Out, Rows);
 }
 
 void InferRuntime::linearRowsI8(const float *X, int Rows,
                                 const QuantizedMat &W, const float *Bias,
-                                float *Out, QuantizedMat &ActQ,
-                                ParallelFor *TP) const {
+                                float *Out, QuantizedMat &ActQ) const {
   int OutD = W.R; // One quantized row per output channel.
-  // Quantization happens once, before the fan-out (gemmI8NTRows reads
-  // every activation row from any chunk). int32 accumulation is exact,
-  // so the row split cannot change a single bit.
   quantizeRowsI8Into(X, Rows, W.C, ActQ);
-  auto RowRange = [&](int B, int E, int) {
-    for (int R = B; R < E; ++R)
-      std::memcpy(Out + static_cast<size_t>(R) * OutD, Bias,
-                  static_cast<size_t>(OutD) * sizeof(float));
-    gemmI8NTRows(ActQ, W, Out, B, E);
-  };
-  if (!TP || TP->threads() <= 1)
-    RowRange(0, Rows, 0);
-  else
-    TP->run(Rows, RowRange);
-}
-
-void InferRuntime::gemmPackedPar(const float *X, const PackedMat &W,
-                                 float *C, int Rows, ParallelFor *TP) const {
-  int InD = W.K, OutD = W.N;
-  if (!TP || TP->threads() <= 1) {
-    gemmAccPacked(X, W, C, Rows);
-  } else if (Rows >= TP->threads()) {
-    TP->run(Rows, [&](int B, int E, int) {
-      gemmAccPacked(X + static_cast<size_t>(B) * InD, W,
-                    C + static_cast<size_t>(B) * OutD, E - B);
-    });
-  } else {
-    TP->run(W.tileCount(), [&](int T0, int T1, int) {
-      gemmAccPackedTiles(X, W, C, Rows, T0, T1);
-    });
-  }
+  for (int R = 0; R < Rows; ++R)
+    std::memcpy(Out + static_cast<size_t>(R) * OutD, Bias,
+                static_cast<size_t>(OutD) * sizeof(float));
+  gemmI8NT(ActQ, W, Out);
 }
 
 void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
@@ -229,23 +158,9 @@ void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
   // pass multiplies by — no per-call weight packing anywhere below.
   std::shared_ptr<const Transformer::PackedWeights> PW = M.packedWeights();
 
-  // Row ranges only: every loop below either writes disjoint rows per
-  // chunk or is a GEMM whose splits are bit-identical (see helpers).
-  auto ForRows = [&](int N, const std::function<void(int)> &RowFn) {
-    if (!TP || TP->threads() <= 1) {
-      for (int I = 0; I < N; ++I)
-        RowFn(I);
-      return;
-    }
-    TP->run(N, [&](int B, int E, int) {
-      for (int I = B; I < E; ++I)
-        RowFn(I);
-    });
-  };
-
   // Token + learned-position embedding (same position clamp as the embed
   // op, though T <= MaxLen makes it a no-op here).
-  ForRows(T, [&](int I) {
+  for (int I = 0; I < T; ++I) {
     int Id = Src[static_cast<size_t>(I)];
     int P = I < M.EncPos.R ? I : M.EncPos.R - 1;
     const float *Tok = M.TokEmb.V.data() + static_cast<size_t>(Id) * D;
@@ -253,7 +168,7 @@ void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
     float *XRow = X + static_cast<size_t>(I) * D;
     for (int J = 0; J < D; ++J)
       XRow[J] = Tok[J] + Pos[J];
-  });
+  }
 
   float Scale = 1.0f / std::sqrt(static_cast<float>(Dh));
   for (size_t LI = 0; LI < M.Enc.size(); ++LI) {
@@ -263,83 +178,57 @@ void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
     // training graph issues (bias after the product, per-head score and
     // value products over contiguous [T, Dh] slices) so every
     // intermediate rounds identically to the graph path.
-    ForRows(T, [&](int I) {
+    for (int I = 0; I < T; ++I)
       layerNormRow(X + static_cast<size_t>(I) * D, D, L.LN1.Gamma.V.data(),
                    L.LN1.Beta.V.data(), Norm + static_cast<size_t>(I) * D);
-    });
-    linearRowsBiasAfter(Norm, T, LP.Wq, L.Self.Bq.V.data(), Q, TP);
-    linearRowsBiasAfter(Norm, T, LP.Wk, L.Self.Bk.V.data(), K, TP);
-    linearRowsBiasAfter(Norm, T, LP.Wv, L.Self.Bv.V.data(), V, TP);
+    linearRowsBiasAfter(Norm, T, LP.Wq, L.Self.Bq.V.data(), Q);
+    linearRowsBiasAfter(Norm, T, LP.Wk, L.Self.Bk.V.data(), K);
+    linearRowsBiasAfter(Norm, T, LP.Wv, L.Self.Bv.V.data(), V);
     for (int Hd = 0; Hd < H; ++Hd) {
       int Off = Hd * Dh;
       size_t DhBytes = static_cast<size_t>(Dh) * sizeof(float);
-      ForRows(T, [&](int I) {
-        size_t Row = static_cast<size_t>(I);
+      for (size_t Row = 0; Row < static_cast<size_t>(T); ++Row) {
         std::memcpy(Qh + Row * Dh, Q + Row * D + Off, DhBytes);
         std::memcpy(Kh + Row * Dh, K + Row * D + Off, DhBytes);
         std::memcpy(Vh + Row * Dh, V + Row * D + Off, DhBytes);
-      });
-      // Kh^T is an activation, so it packs per call — into the arena's
-      // explicit scratch handle, once per head, then every score row
-      // range reuses the pack.
-      packBTransposedInto(Kh, T, Dh, S.PackB);
-      auto ScoreRows = [&](int B, int E, int) {
-        float *SB = Scores + static_cast<size_t>(B) * T;
-        size_t RowsT = static_cast<size_t>(E - B) * T;
-        std::fill(SB, SB + RowsT, 0.0f);
-        gemmAccPacked(Qh + static_cast<size_t>(B) * Dh, S.PackB, SB, E - B);
-        for (size_t I = 0; I < RowsT; ++I)
-          SB[I] *= Scale;
-        for (int I = B; I < E; ++I)
-          softmaxRowInPlace(Scores + static_cast<size_t>(I) * T, T);
-      };
-      auto ValueRows = [&](int B, int E, int) {
-        float *OB = HeadOut + static_cast<size_t>(B) * Dh;
-        std::fill(OB, OB + static_cast<size_t>(E - B) * Dh, 0.0f);
-        gemmAcc(Scores + static_cast<size_t>(B) * T, Vh, OB, E - B, T, Dh);
-        for (int I = B; I < E; ++I)
-          std::memcpy(Attn + static_cast<size_t>(I) * D + Off,
-                      HeadOut + static_cast<size_t>(I) * Dh, DhBytes);
-      };
-      if (!TP || TP->threads() <= 1) {
-        ScoreRows(0, T, 0);
-        ValueRows(0, T, 0);
-      } else {
-        // Two regions: run()'s barrier guarantees a value chunk sees the
-        // score rows even if a different worker computed them.
-        TP->run(T, ScoreRows);
-        TP->run(T, ValueRows);
       }
+      // Kh^T is an activation, so it packs per call — into the arena's
+      // explicit scratch handle, once per head.
+      packBTransposedInto(Kh, T, Dh, S.PackB);
+      size_t TT = static_cast<size_t>(T) * T;
+      std::fill(Scores, Scores + TT, 0.0f);
+      gemmAccPacked(Qh, S.PackB, Scores, T);
+      for (size_t I = 0; I < TT; ++I)
+        Scores[I] *= Scale;
+      for (int I = 0; I < T; ++I)
+        softmaxRowInPlace(Scores + static_cast<size_t>(I) * T, T);
+      std::fill(HeadOut, HeadOut + static_cast<size_t>(T) * Dh, 0.0f);
+      gemmAcc(Scores, Vh, HeadOut, T, T, Dh);
+      for (int I = 0; I < T; ++I)
+        std::memcpy(Attn + static_cast<size_t>(I) * D + Off,
+                    HeadOut + static_cast<size_t>(I) * Dh, DhBytes);
     }
-    linearRowsBiasAfter(Attn, T, LP.Wo, L.Self.Bo.V.data(), Proj, TP);
-    ForRows(T, [&](int I) {
-      for (int J = 0; J < D; ++J)
-        X[static_cast<size_t>(I) * D + J] +=
-            Proj[static_cast<size_t>(I) * D + J];
-    });
+    linearRowsBiasAfter(Attn, T, LP.Wo, L.Self.Bo.V.data(), Proj);
+    for (size_t I = 0; I < TD; ++I)
+      X[I] += Proj[I];
 
     // Feed-forward block.
-    ForRows(T, [&](int I) {
+    for (int I = 0; I < T; ++I)
       layerNormRow(X + static_cast<size_t>(I) * D, D, L.LN2.Gamma.V.data(),
                    L.LN2.Beta.V.data(), Norm + static_cast<size_t>(I) * D);
-    });
-    linearRowsBiasAfter(Norm, T, LP.W1, L.B1.V.data(), FF1, TP);
+    linearRowsBiasAfter(Norm, T, LP.W1, L.B1.V.data(), FF1);
     for (size_t I = 0; I < static_cast<size_t>(T) * FF; ++I)
       FF1[I] = FF1[I] > 0.0f ? FF1[I] : 0.0f;
-    linearRowsBiasAfter(FF1, T, LP.W2, L.B2.V.data(), Proj, TP);
-    ForRows(T, [&](int I) {
-      for (int J = 0; J < D; ++J)
-        X[static_cast<size_t>(I) * D + J] +=
-            Proj[static_cast<size_t>(I) * D + J];
-    });
+    linearRowsBiasAfter(FF1, T, LP.W2, L.B2.V.data(), Proj);
+    for (size_t I = 0; I < TD; ++I)
+      X[I] += Proj[I];
   }
 
   Out.EncOut.resize(TD);
-  ForRows(T, [&](int I) {
+  for (int I = 0; I < T; ++I)
     layerNormRow(X + static_cast<size_t>(I) * D, D,
                  M.EncFinal.Gamma.V.data(), M.EncFinal.Beta.V.data(),
                  Out.EncOut.data() + static_cast<size_t>(I) * D);
-  });
   Out.TSrc = T;
 }
 
@@ -356,9 +245,9 @@ void InferRuntime::finishEncoderCache(
     Cache.CrossK[L].assign(static_cast<size_t>(T) * D, 0.0f);
     Cache.CrossV[L].assign(static_cast<size_t>(T) * D, 0.0f);
     linearRows(Cache.EncOut.data(), T, PW->CrossWk[L], A.Bk.V.data(),
-               Cache.CrossK[L].data(), TP);
+               Cache.CrossK[L].data());
     linearRows(Cache.EncOut.data(), T, PW->CrossWv[L], A.Bv.V.data(),
-               Cache.CrossV[L].data(), TP);
+               Cache.CrossV[L].data());
   }
   // Decode-session constants (fused Q|K|V projection, transposed output
   // embedding) are per-model, not per-source: borrow the shared
@@ -822,17 +711,8 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   Grow(St.Proj, RowsD);
   Grow(St.FF1, static_cast<size_t>(N) * Cfg.FF);
 
-  // Intra-tick pool: null (or 1 thread) means the sequential code path,
-  // taken branch-for-branch as before this field existed.
-  ParallelFor *TP = St.TP;
-  if (TP && TP->threads() <= 1)
-    TP = nullptr;
-
   int ScoreStride = std::max(St.Cap, St.MaxTSrc);
-  // One score slab [H, ScoreStride] per pool chunk so concurrent rows
-  // never share softmax scratch; chunk 0's slab is the sequential one.
-  Grow(St.Scores, static_cast<size_t>(TP ? TP->threads() : 1) * H *
-                      ScoreStride);
+  Grow(St.Scores, static_cast<size_t>(H) * ScoreStride);
 
   float *X = St.X.data(), *Norm = St.Norm.data(), *QKV = St.QKV.data(),
         *AttnOut = St.AttnOut.data(), *Proj = St.Proj.data(),
@@ -858,21 +738,12 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       layerNormRow(X + static_cast<size_t>(R) * D, D,
                    Lay.LN1.Gamma.V.data(), Lay.LN1.Beta.V.data(),
                    Norm + static_cast<size_t>(R) * D);
-    for (int R = 0; R < N; ++R)
-      std::memcpy(QKV + static_cast<size_t>(R) * 3 * D,
-                  Consts.SelfQKVB[L].data(),
-                  static_cast<size_t>(3) * D * sizeof(float));
-    if (I8) {
-      quantizeRowsI8Into(Norm, N, D, St.ActQ);
-      if (!TP)
-        gemmI8NT(St.ActQ, Consts.SelfQKVWQ[L], QKV);
-      else
-        TP->run(N, [&](int B, int E, int) {
-          gemmI8NTRows(St.ActQ, Consts.SelfQKVWQ[L], QKV, B, E);
-        });
-    } else {
-      gemmPackedPar(Norm, Consts.SelfQKVWP[L], QKV, N, TP);
-    }
+    if (I8)
+      linearRowsI8(Norm, N, Consts.SelfQKVWQ[L], Consts.SelfQKVB[L].data(),
+                   QKV, St.ActQ);
+    else
+      linearRows(Norm, N, Consts.SelfQKVWP[L], Consts.SelfQKVB[L].data(),
+                 QKV);
     // Each row writes its new K/V once, at its descriptor's (segment,
     // time, slot); the row is never moved afterwards — descendants find
     // it via the slot tables. ALL writes land before ANY row attends, so
@@ -888,42 +759,32 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       std::memcpy(&St.SelfV[L][Slot], Src + 2 * D,
                   static_cast<size_t>(D) * sizeof(float));
     }
-    auto SelfAttendRows = [&](int B, int E, int Chunk) {
-      float *CScores =
-          Scores + static_cast<size_t>(Chunk) * H * ScoreStride;
-      for (int R = B; R < E; ++R) {
-        const Transformer::DecodeRowPlan &Row =
-            Rows[static_cast<size_t>(R)];
-        int TCtx = Row.WriteT + 1;
-        const float *KBase =
-            St.SelfK[L].data() + static_cast<size_t>(Row.Seg) * SegStride;
-        const float *VBase =
-            St.SelfV[L].data() + static_cast<size_t>(Row.Seg) * SegStride;
-        const uint16_t *Sl = Row.Slots;
-        attendCachedDyn(
-            QKV + static_cast<size_t>(R) * 3 * D,
-            AttnOut + static_cast<size_t>(R) * D, TCtx, H, Dh, InvS,
-            CScores, ScoreStride,
-            [&](int Tt) {
-              return KBase + static_cast<size_t>(Tt) * TimeStride +
-                     static_cast<size_t>(Sl[Tt]) * D;
-            },
-            [&](int Tt) {
-              return VBase + static_cast<size_t>(Tt) * TimeStride +
-                     static_cast<size_t>(Sl[Tt]) * D;
-            });
-      }
-    };
-    if (!TP)
-      SelfAttendRows(0, N, 0);
-    else
-      TP->run(N, SelfAttendRows);
+    for (int R = 0; R < N; ++R) {
+      const Transformer::DecodeRowPlan &Row = Rows[static_cast<size_t>(R)];
+      int TCtx = Row.WriteT + 1;
+      const float *KBase =
+          St.SelfK[L].data() + static_cast<size_t>(Row.Seg) * SegStride;
+      const float *VBase =
+          St.SelfV[L].data() + static_cast<size_t>(Row.Seg) * SegStride;
+      const uint16_t *Sl = Row.Slots;
+      attendCachedDyn(
+          QKV + static_cast<size_t>(R) * 3 * D,
+          AttnOut + static_cast<size_t>(R) * D, TCtx, H, Dh, InvS, Scores,
+          ScoreStride,
+          [&](int Tt) {
+            return KBase + static_cast<size_t>(Tt) * TimeStride +
+                   static_cast<size_t>(Sl[Tt]) * D;
+          },
+          [&](int Tt) {
+            return VBase + static_cast<size_t>(Tt) * TimeStride +
+                   static_cast<size_t>(Sl[Tt]) * D;
+          });
+    }
     if (I8)
       linearRowsI8(AttnOut, N, Consts.SelfWoQ[L], Lay.Self.Bo.V.data(),
-                   Proj, St.ActQ, TP);
+                   Proj, St.ActQ);
     else
-      linearRows(AttnOut, N, Consts.SelfWoP[L], Lay.Self.Bo.V.data(), Proj,
-                 TP);
+      linearRows(AttnOut, N, Consts.SelfWoP[L], Lay.Self.Bo.V.data(), Proj);
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
 
@@ -936,35 +797,25 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
                    Norm + static_cast<size_t>(R) * D);
     if (I8)
       linearRowsI8(Norm, N, Consts.CrossWqQ[L], Lay.Cross.Bq.V.data(), QKV,
-                   St.ActQ, TP);
+                   St.ActQ);
     else
-      linearRows(Norm, N, Consts.CrossWqP[L], Lay.Cross.Bq.V.data(), QKV,
-                 TP);
-    auto CrossAttendRows = [&](int B, int E, int Chunk) {
-      float *CScores =
-          Scores + static_cast<size_t>(Chunk) * H * ScoreStride;
-      for (int R = B; R < E; ++R) {
-        const Transformer::EncoderCache &Enc =
-            *Rows[static_cast<size_t>(R)].Enc;
-        const float *CK = Enc.CrossK[L].data(), *CV = Enc.CrossV[L].data();
-        attendCachedDyn(
-            QKV + static_cast<size_t>(R) * D,
-            AttnOut + static_cast<size_t>(R) * D, Enc.TSrc, H, Dh, InvS,
-            CScores, ScoreStride,
-            [&](int Tt) { return CK + static_cast<size_t>(Tt) * D; },
-            [&](int Tt) { return CV + static_cast<size_t>(Tt) * D; });
-      }
-    };
-    if (!TP)
-      CrossAttendRows(0, N, 0);
-    else
-      TP->run(N, CrossAttendRows);
+      linearRows(Norm, N, Consts.CrossWqP[L], Lay.Cross.Bq.V.data(), QKV);
+    for (int R = 0; R < N; ++R) {
+      const Transformer::EncoderCache &Enc = *Rows[static_cast<size_t>(R)].Enc;
+      const float *CK = Enc.CrossK[L].data(), *CV = Enc.CrossV[L].data();
+      attendCachedDyn(
+          QKV + static_cast<size_t>(R) * D,
+          AttnOut + static_cast<size_t>(R) * D, Enc.TSrc, H, Dh, InvS, Scores,
+          ScoreStride,
+          [&](int Tt) { return CK + static_cast<size_t>(Tt) * D; },
+          [&](int Tt) { return CV + static_cast<size_t>(Tt) * D; });
+    }
     if (I8)
       linearRowsI8(AttnOut, N, Consts.CrossWoQ[L], Lay.Cross.Bo.V.data(),
-                   Proj, St.ActQ, TP);
+                   Proj, St.ActQ);
     else
       linearRows(AttnOut, N, Consts.CrossWoP[L], Lay.Cross.Bo.V.data(),
-                 Proj, TP);
+                 Proj);
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
 
@@ -974,17 +825,15 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
                    Lay.LN3.Gamma.V.data(), Lay.LN3.Beta.V.data(),
                    Norm + static_cast<size_t>(R) * D);
     if (I8)
-      linearRowsI8(Norm, N, Consts.FF1Q[L], Lay.B1.V.data(), FF1, St.ActQ,
-                   TP);
+      linearRowsI8(Norm, N, Consts.FF1Q[L], Lay.B1.V.data(), FF1, St.ActQ);
     else
-      linearRows(Norm, N, Consts.FF1P[L], Lay.B1.V.data(), FF1, TP);
+      linearRows(Norm, N, Consts.FF1P[L], Lay.B1.V.data(), FF1);
     for (size_t I = 0; I < static_cast<size_t>(N) * Cfg.FF; ++I)
       FF1[I] = FF1[I] > 0 ? FF1[I] : 0;
     if (I8)
-      linearRowsI8(FF1, N, Consts.FF2Q[L], Lay.B2.V.data(), Proj, St.ActQ,
-                   TP);
+      linearRowsI8(FF1, N, Consts.FF2Q[L], Lay.B2.V.data(), Proj, St.ActQ);
     else
-      linearRows(FF1, N, Consts.FF2P[L], Lay.B2.V.data(), Proj, TP);
+      linearRows(FF1, N, Consts.FF2P[L], Lay.B2.V.data(), Proj);
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
   }
@@ -998,14 +847,9 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   std::vector<float> Logits(static_cast<size_t>(N) * Cfg.Vocab, 0.0f);
   if (I8) {
     quantizeRowsI8Into(Norm, N, D, St.ActQ);
-    if (!TP)
-      gemmI8NT(St.ActQ, Consts.EmbQ, Logits.data());
-    else
-      TP->run(N, [&](int B, int E, int) {
-        gemmI8NTRows(St.ActQ, Consts.EmbQ, Logits.data(), B, E);
-      });
+    gemmI8NT(St.ActQ, Consts.EmbQ, Logits.data());
   } else {
-    gemmPackedPar(Norm, Consts.EmbTP, Logits.data(), N, TP);
+    gemmAccPacked(Norm, Consts.EmbTP, Logits.data(), N);
   }
   return Logits;
 }

@@ -20,7 +20,6 @@
 #ifndef SLADE_NN_INFERRUNTIME_H
 #define SLADE_NN_INFERRUNTIME_H
 
-#include "nn/Parallel.h"
 #include "nn/Transformer.h"
 
 #include <cstddef>
@@ -66,12 +65,7 @@ size_t encodeScratchRetainedBytes();
 
 class InferRuntime {
 public:
-  /// \p TP (optional, non-owning) parallelizes the ENCODER-side entry
-  /// points below across its workers; the decoder reads the pool from
-  /// BatchDecodeState::TP instead so long-lived decode state carries its
-  /// own pool. Null = sequential (identical either way by construction).
-  explicit InferRuntime(const Transformer &M, ParallelFor *TP = nullptr)
-      : M(M), TP(TP) {}
+  explicit InferRuntime(const Transformer &M) : M(M) {}
 
   /// -- encoder ------------------------------------------------------------
 
@@ -131,7 +125,6 @@ public:
 
 private:
   const Transformer &M;
-  ParallelFor *TP = nullptr; ///< Encoder-side pool (null = sequential).
 
   /// The one batched-decoder forward: embeds, runs every decoder layer
   /// and the output projection over St.FwdRows, returns logits
@@ -142,28 +135,17 @@ private:
   forwardDecodeRows(Transformer::BatchDecodeState &St) const;
 
   /// Out = X * W over a PRE-PACKED weight, bias added AFTER the product
-  /// (mirrors the graph's addRow(matmul(...)) rounding). Splits output
-  /// rows (or column tiles when Rows is small) across \p TP when set;
-  /// each output element's K-reduction stays on one thread, so results
-  /// are bit-identical at any thread count.
+  /// (mirrors the graph's addRow(matmul(...)) rounding).
   void linearRowsBiasAfter(const float *X, int Rows, const PackedMat &W,
-                           const float *Bias, float *Out,
-                           ParallelFor *TP) const;
+                           const float *Bias, float *Out) const;
   /// Out[r] = X[r] * W + Bias over a PRE-PACKED weight, bias seeded
-  /// before accumulation (the decode-path layout). Same TP splitting
-  /// contract as linearRowsBiasAfter.
+  /// before accumulation (the decode-path layout).
   void linearRows(const float *X, int Rows, const PackedMat &W,
-                  const float *Bias, float *Out, ParallelFor *TP) const;
+                  const float *Bias, float *Out) const;
   /// int8 variant over a pre-quantized transposed weight ([out, in] rows):
-  /// bias-seed, quantize the activations into \p ActQ, then a row-split
-  /// gemmI8NT (int32 accumulation — exact, so splits are bit-identical).
+  /// bias-seed, quantize the activations into \p ActQ, then gemmI8NT.
   void linearRowsI8(const float *X, int Rows, const QuantizedMat &W,
-                    const float *Bias, float *Out, QuantizedMat &ActQ,
-                    ParallelFor *TP) const;
-  /// C += X * W over a PRE-PACKED weight with no bias handling (caller
-  /// seeds C); row- or tile-split across \p TP like linearRows.
-  void gemmPackedPar(const float *X, const PackedMat &W, float *C, int Rows,
-                     ParallelFor *TP) const;
+                    const float *Bias, float *Out, QuantizedMat &ActQ) const;
 };
 
 } // namespace nn

@@ -177,20 +177,15 @@ void slade::nn::packBTransposedInto(const float *BT, int N, int K,
   }
 }
 
-void slade::nn::gemmAccPackedTiles(const float *A, const PackedMat &B,
-                                   float *C, int M, int T0, int T1) {
+void slade::nn::gemmAccPacked(const float *A, const PackedMat &B, float *C,
+                              int M) {
   int K = B.K, N = B.N;
-  for (int T = T0; T < T1; ++T) {
+  for (int T = 0, NT = B.tileCount(); T < NT; ++T) {
     const float *Tile =
         B.Tiles.data() + static_cast<size_t>(T) * K * NR;
     int J0 = T * NR;
     tileAccPacked(A, Tile, C + J0, M, K, std::min(NR, N - J0), K, N);
   }
-}
-
-void slade::nn::gemmAccPacked(const float *A, const PackedMat &B, float *C,
-                              int M) {
-  gemmAccPackedTiles(A, B, C, M, 0, B.tileCount());
 }
 
 void slade::nn::gemmAcc(const float *A, const float *B, float *C, int M,
@@ -346,14 +341,9 @@ inline int32_t dotI8(const int8_t *A, const int8_t *B, int K) {
 
 void slade::nn::gemmI8NT(const QuantizedMat &A, const QuantizedMat &B,
                          float *C) {
-  gemmI8NTRows(A, B, C, 0, A.R);
-}
-
-void slade::nn::gemmI8NTRows(const QuantizedMat &A, const QuantizedMat &B,
-                             float *C, int I0, int I1) {
   assert(A.C == B.C && "gemmI8NT K mismatch");
   int N = B.R, K = A.C;
-  for (int I = I0; I < I1; ++I) {
+  for (int I = 0; I < A.R; ++I) {
     const int8_t *ARow = A.Q.data() + static_cast<size_t>(I) * K;
     float SA = A.Scale[static_cast<size_t>(I)];
     float *CRow = C + static_cast<size_t>(I) * N;

@@ -130,13 +130,6 @@ void packBTransposedInto(const float *BT, int N, int K, PackedMat &Out);
 /// C += A * B with a pre-packed B. A is [m, B.K], C is [m, B.N].
 /// Bit-identical to gemmAcc(A, B_rowmajor, C, M, B.K, B.N).
 void gemmAccPacked(const float *A, const PackedMat &B, float *C, int M);
-/// Column-tile range [T0, T1) of gemmAccPacked: writes only columns
-/// [T0*GemmTileN, min(T1*GemmTileN, N)). Disjoint ranges touch disjoint
-/// C columns, so ranges may run on different threads; each output
-/// element is still a single sequential K-reduction (bit-identical at
-/// any split).
-void gemmAccPackedTiles(const float *A, const PackedMat &B, float *C,
-                        int M, int T0, int T1);
 
 /// gemmAccNT with a caller-owned pack scratch (grow-only) instead of
 /// the implicit per-call buffer — callers on hot paths pin the scratch
@@ -190,11 +183,6 @@ QuantizedMat quantizeRowsI8(const float *A, int R, int C);
 /// exact; the only rounding is the final per-element
 /// Scale[i]*Scale[j]*acc fused into C.
 void gemmI8NT(const QuantizedMat &A, const QuantizedMat &B, float *C);
-/// Row range [I0, I1) of gemmI8NT — the int8 parallel split unit.
-/// Disjoint ranges write disjoint C rows; per-element results are
-/// independent of the split (exact int32 accumulation).
-void gemmI8NTRows(const QuantizedMat &A, const QuantizedMat &B, float *C,
-                  int I0, int I1);
 
 // -- autograd ops ------------------------------------------------------------
 

@@ -19,18 +19,11 @@ void SpecSession::initBatch(
   for (const auto &E : FullEncs)
     DraftEncs.push_back(deriveDraftCache(Draft, *E));
   DraftSt = Draft.startDecodeBatchMulti(DraftEncs, BeamsPerSource, MaxSteps);
-  DraftSt.TP = TickTP;
 }
 
 void SpecSession::initStream(int MaxSources, int BeamsPerSource,
                              int MaxSteps) {
   DraftSt = Draft.startDecodeStream(MaxSources, BeamsPerSource, MaxSteps);
-  DraftSt.TP = TickTP;
-}
-
-void SpecSession::setTickPool(ParallelFor *TP) {
-  TickTP = TP;
-  DraftSt.TP = TP;
 }
 
 void SpecSession::admit(int Seg, const Transformer::EncoderCache &FullEnc) {

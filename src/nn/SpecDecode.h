@@ -69,13 +69,6 @@ public:
   /// Mirrors abortStreamSegment.
   void abortSegment(int Seg);
 
-  /// Installs the intra-tick worker pool on the DRAFT state's forwards
-  /// (the caller sets the full state's BatchDecodeState::TP itself).
-  /// Survives initStream/initBatch re-creating the draft state. Null
-  /// (the default) keeps the draft sequential. Exactness is unaffected:
-  /// the pool only row-splits, never re-associates reductions.
-  void setTickPool(ParallelFor *TP);
-
   /// One decode job inside a round: a source's live beam search. The
   /// caller keeps Job objects alive across rounds (they carry the
   /// pending selection and the step budget) and passes the LIVE jobs in
@@ -119,7 +112,6 @@ private:
   const Transformer &Full;
   const Transformer &Draft;
   Transformer::BatchDecodeState DraftSt;
-  ParallelFor *TickTP = nullptr; ///< Re-applied on every init*.
 
   // Round scratch (reused).
   std::vector<SpecRow> Plan;

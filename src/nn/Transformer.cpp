@@ -311,12 +311,11 @@ Transformer::PackCacheStats Transformer::packCacheStats() const {
 }
 
 std::shared_ptr<const Transformer::EncoderCache>
-Transformer::encodeSource(const std::vector<int> &Src,
-                          ParallelFor *TP) const {
+Transformer::encodeSource(const std::vector<int> &Src) const {
   // Graph-free fast path: raw buffers from the pooled scratch arena, the
   // same tiled kernels as the training graph, bit-identical outputs
-  // (tested against encodeSourceGraph) at any TP thread count.
-  return InferRuntime(*this, TP).encodeSource(Src);
+  // (tested against encodeSourceGraph).
+  return InferRuntime(*this).encodeSource(Src);
 }
 
 std::shared_ptr<const Transformer::EncoderCache>

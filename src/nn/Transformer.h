@@ -33,7 +33,6 @@ namespace slade {
 namespace nn {
 
 class InferRuntime;
-class ParallelFor;
 
 struct TransformerConfig {
   int Vocab = 512;
@@ -260,12 +259,9 @@ public:
   /// Runs the encoder and prepares the shared cross-attention caches.
   /// Executes on the graph-free InferRuntime (raw buffers, pooled
   /// EncodeScratch arena, no tape/per-node allocation); bit-identical to
-  /// encodeSourceGraph. \p TP, when given, splits the encoder's row
-  /// ranges across its workers (nn/Parallel.h) — results stay
-  /// byte-identical at any thread count.
+  /// encodeSourceGraph.
   std::shared_ptr<const EncoderCache>
-  encodeSource(const std::vector<int> &Src,
-               ParallelFor *TP = nullptr) const;
+  encodeSource(const std::vector<int> &Src) const;
 
   /// Reference encoder path through the autograd Graph (inference mode).
   /// Retained as the bit-exactness oracle for the runtime fast path and
@@ -332,12 +328,6 @@ public:
     std::vector<int> SpecBase; ///< Per plan row: live-row ancestor.
     std::vector<uint16_t> SpecChain; ///< Per plan row: [Cap] slot table.
     QuantizedMat ActQ; ///< int8 activation scratch (draft models).
-    /// Optional intra-tick worker pool (nn/Parallel.h): when set, the
-    /// batched forward splits its row/tile ranges across the pool's
-    /// threads. Not owned; null (the default) = sequential. Per-row
-    /// results are byte-identical either way, so the pool can be
-    /// attached or detached between steps freely.
-    ParallelFor *TP = nullptr;
   };
 
   /// Prepares a batched state sharing \p Enc with room for \p MaxBeams

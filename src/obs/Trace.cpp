@@ -38,8 +38,6 @@ const char *slade::obs::spanKindName(SpanKind K) {
     return "spec_round";
   case SpanKind::OracleMask:
     return "oracle_mask";
-  case SpanKind::ParallelTile:
-    return "parallel_tile";
   case SpanKind::KindCount:
     break;
   }
@@ -48,7 +46,7 @@ const char *slade::obs::spanKindName(SpanKind K) {
 
 bool slade::obs::isShardScope(SpanKind K) {
   return K == SpanKind::Tick || K == SpanKind::SpecRound ||
-         K == SpanKind::OracleMask || K == SpanKind::ParallelTile;
+         K == SpanKind::OracleMask;
 }
 
 namespace {

@@ -63,8 +63,6 @@ enum class SpanKind : uint8_t {
   SpecRound,    ///< SHARD scope: propose/verify round. Arg0 = proposed,
                 ///< Arg1 = accepted.
   OracleMask,   ///< SHARD scope: constraint-mask time within a tick.
-  ParallelTile, ///< SHARD scope: intra-tick pool fan-out within a tick.
-                ///< Arg0 = pool regions run, Arg1 = tick threads.
   KindCount
 };
 

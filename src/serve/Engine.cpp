@@ -3,7 +3,6 @@
 #include "serve/Engine.h"
 
 #include "nn/BeamCore.h"
-#include "nn/Parallel.h"
 #include "nn/SpecDecode.h"
 #include "obs/Trace.h"
 
@@ -202,7 +201,6 @@ Engine::Engine(const core::Decompiler &D, const EngineOptions &Opts)
   assert(this->Opts.MaxLiveSources > 0 && "need at least one decode row");
   const int N = resolveShardCount(Opts.Shards);
   this->Opts.Shards = N; // options() reports the resolved count.
-  this->Opts.TickThreads = std::max(1, Opts.TickThreads);
   registerInstruments();
   ShardsVec.reserve(static_cast<size_t>(N));
   for (int I = 0; I < N; ++I) {
@@ -263,13 +261,6 @@ void Engine::registerInstruments() {
   Ins.DraftSeconds = &Reg.floatCounter(
       "slade_spec_draft_seconds_total",
       "Time inside draft forward + simulation", N);
-  Ins.ParallelRegions = &Reg.counter(
-      "slade_shard_parallel_regions_total",
-      "Intra-tick pool regions fanned out, per shard", N);
-  Ins.TickThreadsGauge = &Reg.gauge(
-      "slade_engine_tick_threads",
-      "Intra-tick worker threads per shard (1 = no pool)");
-  Ins.TickThreadsGauge->set(static_cast<double>(this->Opts.TickThreads));
   Ins.LiveSourcesGauge = &Reg.gauge(
       "slade_engine_live_sources",
       "Sources currently admitted into decode rows, all shards");
@@ -786,11 +777,6 @@ void Engine::dispatchLoop() {
   // the same source can never be served from each other's entries.
   if (Opts.Constrain == nn::ConstrainMode::Syntax)
     BC.Constraint = &D.vocabConstraint();
-  // The dispatcher's encode pool, same width as the shards' tick pools
-  // (TickThreads == 1 spawns nothing). Encoder outputs are bit-identical
-  // at every width, so dispatcher-side and shard-side encodes of one
-  // source still dedupe through the encoder LRU.
-  nn::ParallelFor EncPool(Opts.TickThreads);
 
   Admission A;
   while (Queue.pop(&A)) {
@@ -889,7 +875,7 @@ void Engine::dispatchLoop() {
     try {
       if (Injector.enabled() && Injector.encodeThrowAt(C.Seq))
         throw std::runtime_error("injected encode fault");
-      Enc = Req.Enc ? std::move(Req.Enc) : D.encodeCached(Src, &EncPool);
+      Enc = Req.Enc ? std::move(Req.Enc) : D.encodeCached(Src);
     } catch (...) {
       // Containment: the fault resolves THIS request; the reserved slot
       // returns to the router and the dispatcher keeps serving.
@@ -950,13 +936,6 @@ void Engine::shardLoop(Shard &S) {
 
   nn::Transformer::BatchDecodeState St = Model.startDecodeStream(
       Opts.MaxLiveSources, BeamsPerSource, std::max(1, Opts.MaxLen) + 1);
-  // The shard's intra-tick worker pool: full-model ticks, the draft's
-  // mirrored forwards, and this shard's readmission encodes all fan out
-  // over it (never concurrently — the shard loop is single-threaded).
-  // TickThreads == 1 constructs no pool and every consumer runs the
-  // sequential code path.
-  nn::ParallelFor TickPool(Opts.TickThreads);
-  St.TP = &TickPool;
   // Speculative serving: a per-shard session owning the draft's mirrored
   // stream state. With no draft attached the engine silently runs plain
   // (byte-identical either way; only throughput could have changed).
@@ -967,7 +946,6 @@ void Engine::shardLoop(Shard &S) {
   std::unique_ptr<nn::SpecSession> Sess;
   if (Spec) {
     Sess = std::make_unique<nn::SpecSession>(Model, DM->model());
-    Sess->setTickPool(&TickPool);
     Sess->initStream(Opts.MaxLiveSources, BeamsPerSource,
                      std::max(1, Opts.MaxLen) + 1);
   }
@@ -1209,7 +1187,7 @@ void Engine::shardLoop(Shard &S) {
         // an out-of-band slot, no registry entry — later duplicates go
         // through the dispatcher afresh. Rare by construction.
         M.Attach = false;
-        M.Enc = D.encodeCached(M.Src, &TickPool);
+        M.Enc = D.encodeCached(M.Src);
         Router.placeOn(S.Index);
       }
       if (!AdmitBlocked && Slots.freeCount() > 0 && TryAdmit(M))
@@ -1290,7 +1268,6 @@ void Engine::shardLoop(Shard &S) {
       nn::SpecStats Round;
       const bool TraceTick = TR.enabled();
       const uint64_t TickStart = TraceTick ? TR.nowNs() : 0;
-      const uint64_t RegionsBefore = TickPool.regions();
       auto T0 = Clock::now();
       int PlanRows = Sess->runRound(St, SpecJobs, BC, Round);
       Ins.DecodeSeconds->add(S.Index, secondsSince(T0));
@@ -1300,13 +1277,6 @@ void Engine::shardLoop(Shard &S) {
       Ins.DraftAccepted->add(S.Index, Round.Accepted);
       Ins.SpecRounds->add(S.Index, 1);
       Ins.DraftSeconds->add(S.Index, Round.DraftSeconds);
-      if (uint64_t Regions = TickPool.regions() - RegionsBefore) {
-        Ins.ParallelRegions->add(S.Index, Regions);
-        if (TraceTick)
-          TR.record(obs::SpanKind::ParallelTile,
-                    static_cast<uint64_t>(S.Index), TickStart, TR.nowNs(),
-                    Regions, static_cast<uint64_t>(TickPool.threads()));
-      }
       if (TraceTick)
         TR.record(obs::SpanKind::SpecRound,
                   static_cast<uint64_t>(S.Index), TickStart, TR.nowNs(),
@@ -1374,19 +1344,11 @@ void Engine::shardLoop(Shard &S) {
                     J->NextTokens.end());
     const bool TraceTick = TR.enabled();
     const uint64_t TickStart = TraceTick ? TR.nowNs() : 0;
-    const uint64_t RegionsBefore = TickPool.regions();
     auto T0 = Clock::now();
     Logits = Model.stepDecodeBatch(St, Tokens);
     Ins.DecodeSeconds->add(S.Index, secondsSince(T0));
     Ins.Steps->add(S.Index, 1);
     Ins.StepRows->add(S.Index, Tokens.size());
-    if (uint64_t Regions = TickPool.regions() - RegionsBefore) {
-      Ins.ParallelRegions->add(S.Index, Regions);
-      if (TraceTick)
-        TR.record(obs::SpanKind::ParallelTile,
-                  static_cast<uint64_t>(S.Index), TickStart, TR.nowNs(),
-                  Regions, static_cast<uint64_t>(TickPool.threads()));
-    }
     ++Tick;
     if (Injector.enabled() && Injector.slowTickAt(S.Index, Tick))
       std::this_thread::sleep_for(

@@ -90,16 +90,6 @@ struct EngineOptions {
   /// identical live sources single-flight across ALL shards. 0 = one
   /// shard per hardware thread (capped — see resolveShardCount).
   int Shards = 1;
-  /// Intra-tick worker threads PER SHARD (nn::ParallelFor): each shard
-  /// tick fans its GEMM row/tile ranges and attention rows out over a
-  /// persistent per-shard pool — and the dispatcher's encoder passes get
-  /// a pool of the same width — so a SINGLE request uses multiple cores.
-  /// 1 (the default) spawns no pool at all: the sequential code path,
-  /// byte-for-byte. Outputs are byte-identical at EVERY value by
-  /// construction (only output-row ranges are partitioned, never
-  /// reductions); the total worker budget is roughly Shards *
-  /// TickThreads, plus the dispatcher's pool when > 1.
-  int TickThreads = 1;
   /// Consult (and fill) the decompiler's decoded-hypotheses LRU
   /// (nn::DecodeLRU) in front of decode: a repeat of an already-decoded
   /// source — even one that never overlaps the original in flight —
@@ -399,8 +389,6 @@ private:
     obs::Counter *SpecRounds = nullptr;
     obs::Counter *SpecFallbacks = nullptr;
     obs::FloatCounter *DraftSeconds = nullptr;
-    obs::Counter *ParallelRegions = nullptr; ///< Pool fan-outs, per shard.
-    obs::Gauge *TickThreadsGauge = nullptr;  ///< Resolved TickThreads.
     obs::Gauge *LiveSourcesGauge = nullptr;
     obs::Histogram *QueueWait = nullptr; ///< OK-only, seconds.
     obs::Histogram *Latency = nullptr;   ///< OK-only, seconds.

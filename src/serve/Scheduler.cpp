@@ -166,7 +166,6 @@ Scheduler::decodeAll(const std::vector<std::vector<int>> &Srcs) {
   EO.UseTypeInference = Opts.UseTypeInference;
   EO.MaxLiveSources = engineWidth(Srcs, UniqueIdx, Encs, ResolvedShards);
   EO.Shards = ShardCount;
-  EO.TickThreads = Opts.TickThreads;
   // The batch front dedups its corpus up front and reports per-run
   // decode costs; a cross-run hypotheses cache would silently turn
   // "decode" runs into lookups, so it stays off here (the streaming

@@ -77,12 +77,6 @@ struct ServeOptions {
   /// count) — the fused-vs-solo tradeoff shifts when N shards share the
   /// memory system.
   int Shards = 0;
-  /// Intra-tick worker threads per engine shard (--tick-threads),
-  /// forwarded to the engine (EngineOptions::TickThreads): row/tile
-  /// ranges of ONE fused tick split across a per-shard pool, so a single
-  /// request uses multiple cores. 1 (default) = no pool, the sequential
-  /// path byte-for-byte; results are byte-identical at every value.
-  int TickThreads = 1;
   /// Grammar-constrained decoding (--constrain), forwarded to the
   /// engine. Off is byte-identical to the pre-constraint scheduler.
   nn::ConstrainMode Constrain = nn::ConstrainMode::Off;

@@ -12,7 +12,6 @@
 #include "nn/EncoderLRU.h"
 #include "nn/InferRuntime.h"
 #include "nn/Mat.h"
-#include "nn/Parallel.h"
 #include "nn/Transformer.h"
 #include "support/RNG.h"
 
@@ -296,9 +295,10 @@ TEST(Gemm, PrepackedMatchesUnpackedBitExact) {
   // accumulation through the same microkernel. And on EVERY shape
   // (including the ragged head-dim score packs, whose padded edge tile
   // legitimately rounds differently from gemmAcc's scalar edge path),
-  // the intra-tick partitions — M-row ranges and N-column-tile ranges —
-  // and the transposed pack must agree with the one-call packed result
-  // bit-for-bit: that is the invariant the parallel splits rely on.
+  // M-row ranges and the transposed pack must agree with the one-call
+  // packed result bit-for-bit. Row-range agreement is batch invariance:
+  // a row's output must not depend on which other rows share the GEMM,
+  // which the engine's byte identity with sequential decode relies on.
   struct Shape {
     int M, K, N;
   };
@@ -341,16 +341,7 @@ TEST(Gemm, PrepackedMatchesUnpackedBitExact) {
         ASSERT_NEAR(Packed[I], Ref[I], Tol) << Tag() << " at " << I;
     }
 
-    // Column-tile split halves — the intra-tick N partition.
-    std::vector<float> TileSplit = CInit;
-    int Mid = P.tileCount() / 2;
-    gemmAccPackedTiles(A.data(), P, TileSplit.data(), S.M, 0, Mid);
-    gemmAccPackedTiles(A.data(), P, TileSplit.data(), S.M, Mid,
-                       P.tileCount());
-    ASSERT_EQ(0, std::memcmp(Packed.data(), TileSplit.data(), CBytes))
-        << "tile-split " << Tag();
-
-    // Row-range split — the intra-tick M partition (linearRows).
+    // Row-range split — batch invariance across the M dimension.
     for (int Chunk : {1, 2}) {
       std::vector<float> RowSplit = CInit;
       for (int I0 = 0; I0 < S.M; I0 += Chunk)
@@ -374,74 +365,6 @@ TEST(Gemm, PrepackedMatchesUnpackedBitExact) {
     ASSERT_EQ(0, std::memcmp(Packed.data(), PackedT.data(), CBytes))
         << "transposed pack " << Tag();
   }
-}
-
-TEST(Gemm, Int8RowSplitMatchesFullBitExact) {
-  // The int8 draft path's parallel split unit: any row partition of
-  // gemmI8NTRows must reproduce one gemmI8NT call byte-for-byte — the
-  // int32 accumulation is exact, so per-row results cannot depend on
-  // the partition.
-  struct Shape {
-    int M, K, N;
-  };
-  const Shape Shapes[] = {{1, 64, 192}, {5, 64, 192}, {5, 64, 512},
-                          {4, 64, 64},  {5, 128, 64}, {3, 48, 100}};
-  uint64_t Seed = 4242;
-  for (const Shape &S : Shapes) {
-    auto A = randomVec(static_cast<size_t>(S.M) * S.K, Seed++);
-    auto W = randomVec(static_cast<size_t>(S.N) * S.K, Seed++);
-    QuantizedMat AQ = quantizeRowsI8(A.data(), S.M, S.K);
-    QuantizedMat WQ = quantizeRowsI8(W.data(), S.N, S.K);
-
-    std::vector<float> Ref(static_cast<size_t>(S.M) * S.N, 0.0f);
-    gemmI8NT(AQ, WQ, Ref.data());
-
-    for (int Chunk : {1, 2, 3}) {
-      std::vector<float> Split(Ref.size(), 0.0f);
-      for (int I0 = 0; I0 < S.M; I0 += Chunk)
-        gemmI8NTRows(AQ, WQ, Split.data(), I0,
-                     std::min(S.M, I0 + Chunk));
-      ASSERT_EQ(0, std::memcmp(Ref.data(), Split.data(),
-                               Ref.size() * sizeof(float)))
-          << S.M << "x" << S.K << "x" << S.N << " chunk " << Chunk;
-    }
-  }
-}
-
-TEST(Parallel, RunCoversRangeExactlyOnce) {
-  // Disjoint chunk cover of [0, N): every index exactly once, chunk ids
-  // dense from 0, chunk 0 on the calling thread, and the regions counter
-  // bumps only on real fan-out.
-  ParallelFor TP(4);
-  EXPECT_EQ(TP.threads(), 4);
-  for (int N : {1, 3, 4, 7, 103}) {
-    std::vector<int> Hits(static_cast<size_t>(N), 0);
-    uint64_t R0 = TP.regions();
-    TP.run(N, [&](int B, int E, int Chunk) {
-      EXPECT_GE(Chunk, 0);
-      EXPECT_LT(Chunk, TP.threads());
-      for (int I = B; I < E; ++I)
-        Hits[static_cast<size_t>(I)]++; // Disjoint ranges: no race.
-    });
-    for (int I = 0; I < N; ++I)
-      EXPECT_EQ(Hits[static_cast<size_t>(I)], 1) << "N=" << N << " I=" << I;
-    if (N > 1)
-      EXPECT_EQ(TP.regions(), R0 + 1) << "N=" << N;
-    else
-      EXPECT_EQ(TP.regions(), R0) << "N=1 runs inline, no region";
-  }
-  // A one-thread pool never fans out and never counts regions.
-  ParallelFor Solo(1);
-  EXPECT_EQ(Solo.threads(), 1);
-  int Calls = 0;
-  Solo.run(64, [&](int B, int E, int Chunk) {
-    ++Calls;
-    EXPECT_EQ(B, 0);
-    EXPECT_EQ(E, 64);
-    EXPECT_EQ(Chunk, 0);
-  });
-  EXPECT_EQ(Calls, 1);
-  EXPECT_EQ(Solo.regions(), 0u);
 }
 
 TEST(Graph, InferenceModeSkipsGradients) {
@@ -710,73 +633,6 @@ TEST(InferRuntime, ExplicitScratchReuseMatchesPooledPath) {
   EXPECT_EQ(S.bytes(), BytesAfterLong) << "ensure() never shrinks";
   auto Ref = Model.encodeSourceGraph(Short);
   expectCachesBitExact(Out, *Ref, "scratch-reuse");
-}
-
-TEST(InferRuntime, EncodeSourceBitExactAcrossTickThreads) {
-  // The intra-tick pool partitions encoder row/tile ranges only — never
-  // a reduction — so any thread count must reproduce the sequential
-  // encode BYTE-for-byte, across lengths that hit every edge path.
-  TransformerConfig Cfg;
-  Cfg.Vocab = 96;
-  Cfg.DModel = 32;
-  Cfg.NHeads = 4;
-  Cfg.FF = 48;
-  Cfg.EncLayers = 2;
-  Cfg.DecLayers = 2;
-  Cfg.MaxLen = 320;
-  Transformer Model(Cfg);
-  for (int T : {1, 5, 17, 300}) {
-    std::vector<int> Src;
-    for (int I = 0; I < T; ++I)
-      Src.push_back(3 + (I * 5 + T) % (Cfg.Vocab - 3));
-    auto Seq = Model.encodeSource(Src);
-    for (int Threads : {2, 4}) {
-      ParallelFor TP(Threads);
-      auto Par = Model.encodeSource(Src, &TP);
-      expectCachesBitExact(*Par, *Seq,
-                           ("T=" + std::to_string(T) + " threads=" +
-                            std::to_string(Threads))
-                               .c_str());
-    }
-  }
-}
-
-TEST(Transformer, BatchedStepBitExactAcrossTickThreads) {
-  // Five beams stepped through the batched decoder with the per-shard
-  // pool installed (BatchDecodeState::TP): logits must be byte-identical
-  // to the sequential path at every thread count and every step.
-  TransformerConfig Cfg = tinyConfig();
-  Transformer Model(Cfg);
-  std::vector<int> Src = {7, 3, 9, 4, 5, 8, 6};
-  auto Enc = Model.encodeSource(Src);
-  const int B = 5, Steps = 6;
-
-  auto RunSteps = [&](ParallelFor *TP) {
-    Transformer::BatchDecodeState St = Model.startDecodeBatch(Enc, B, 16);
-    St.TP = TP;
-    std::vector<std::vector<float>> Logits;
-    std::vector<int> Feed(B, Transformer::BosId);
-    for (int S = 0; S < Steps; ++S) {
-      Logits.push_back(Model.stepDecodeBatch(St, Feed));
-      for (int R = 0; R < B; ++R) // Diverge the rows deterministically.
-        Feed[R] = 3 + (S * B + R) % (Cfg.Vocab - 3);
-    }
-    return Logits;
-  };
-
-  auto Seq = RunSteps(nullptr);
-  for (int Threads : {2, 4}) {
-    ParallelFor TP(Threads);
-    auto Par = RunSteps(&TP);
-    ASSERT_EQ(Par.size(), Seq.size());
-    for (size_t S = 0; S < Seq.size(); ++S) {
-      ASSERT_EQ(Par[S].size(), Seq[S].size());
-      ASSERT_EQ(0, std::memcmp(Par[S].data(), Seq[S].data(),
-                               Seq[S].size() * sizeof(float)))
-          << "threads=" << Threads << " step=" << S;
-    }
-    EXPECT_GT(TP.regions(), 0u) << "the pool must actually have fanned out";
-  }
 }
 
 TEST(Transformer, TrainStepInvalidatesPackedWeights) {

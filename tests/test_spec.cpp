@@ -371,12 +371,11 @@ TEST(SpecServe, EngineByteIdenticalAcrossShardCountsAndConstraint) {
   }
 }
 
-TEST(SpecServe, TickThreadsByteIdenticalWithSpeculation) {
-  // Speculative serving with the intra-tick pool installed: the draft's
-  // int8 forwards AND the full model's batched verify both split their
-  // row ranges across the per-shard workers, and outputs must stay
-  // byte-identical to the plain sequential oracle at every tick-thread
-  // and shard count, with and without the grammar constraint.
+TEST(SpecServe, ByteIdenticalWithSpeculation) {
+  // Speculative serving (int8 draft forwards plus the full model's
+  // batched verify) must stay byte-identical to the plain sequential
+  // oracle at every shard count, with and without the grammar
+  // constraint.
   testutil::DecompilerFixture F(5);
   ASSERT_GE(F.Tasks.size(), 3u);
   const core::Decompiler &D = *F.Slade;
@@ -400,30 +399,28 @@ TEST(SpecServe, TickThreadsByteIdenticalWithSpeculation) {
     for (size_t I = 0; I < Asm.size(); ++I)
       Solo[I] = D.translate(Asm[I], 2, 24, CM);
 
-    for (int Shards : {1, 2})
-      for (int TickThreads : {2, 4}) {
-        serve::EngineOptions EO;
-        EO.BeamSize = 2;
-        EO.MaxLen = 24;
-        EO.MaxLiveSources = 2;
-        EO.Shards = Shards;
-        EO.TickThreads = TickThreads;
-        EO.UseDecodeCache = false;
-        EO.Constrain = CM;
-        EO.Speculate = SpecMode::On;
-        EO.DraftGamma = 3;
-        serve::Engine Eng(D, EO);
-        std::vector<serve::Handle> Futs;
-        for (size_t R = 0; R < 2; ++R)
-          for (size_t I = 0; I < Asm.size(); ++I)
-            Futs.push_back(Eng.submit({"job", Asm[I], {}, {}, nullptr}));
-        for (size_t K = 0; K < Futs.size(); ++K)
-          EXPECT_EQ(Futs[K].get().CSource, Solo[K % Asm.size()])
-              << "constrained=" << Constrained << " shards=" << Shards
-              << " tick-threads=" << TickThreads << " request " << K;
-        serve::EngineMetrics M = Eng.metrics();
-        EXPECT_GT(M.SpecRounds, 0u) << "speculative ticks must have run";
-      }
+    for (int Shards : {1, 2}) {
+      serve::EngineOptions EO;
+      EO.BeamSize = 2;
+      EO.MaxLen = 24;
+      EO.MaxLiveSources = 2;
+      EO.Shards = Shards;
+      EO.UseDecodeCache = false;
+      EO.Constrain = CM;
+      EO.Speculate = SpecMode::On;
+      EO.DraftGamma = 3;
+      serve::Engine Eng(D, EO);
+      std::vector<serve::Handle> Futs;
+      for (size_t R = 0; R < 2; ++R)
+        for (size_t I = 0; I < Asm.size(); ++I)
+          Futs.push_back(Eng.submit({"job", Asm[I], {}, {}, nullptr}));
+      for (size_t K = 0; K < Futs.size(); ++K)
+        EXPECT_EQ(Futs[K].get().CSource, Solo[K % Asm.size()])
+            << "constrained=" << Constrained << " shards=" << Shards
+            << " request " << K;
+      serve::EngineMetrics M = Eng.metrics();
+      EXPECT_GT(M.SpecRounds, 0u) << "speculative ticks must have run";
+    }
   }
 }
 

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -72,7 +73,6 @@ struct CliOptions {
   double Rate = 0;     ///< Mean Poisson arrivals/sec (0 = jobs over ~1s).
   int MaxLive = 4;     ///< Engine MaxLiveSources (per shard).
   int Shards = 0;      ///< Decode shards (0 = auto: hardware threads).
-  int TickThreads = 1; ///< Intra-tick worker threads per shard.
   int QueueCap = 256;  ///< Engine admission-queue bound.
   uint64_t ArrivalSeed = 42; ///< Poisson arrival RNG seed.
   bool StreamCompare = false; ///< Also replay through the batch-scoped
@@ -143,13 +143,6 @@ void usage() {
       "                       each running its own continuous batch\n"
       "                       (default 0 = one per hardware thread,\n"
       "                       capped at 8)\n"
-      "  --tick-threads N     intra-tick worker threads per decode\n"
-      "                       shard: row/tile ranges of ONE fused tick\n"
-      "                       split across a per-shard pool, so a\n"
-      "                       single request uses N cores. Results are\n"
-      "                       byte-identical at every value; total\n"
-      "                       decode workers ~= shards * N (default 1\n"
-      "                       = no pool, the sequential path)\n"
       "  --no-batch           disable cross-request decode batching\n"
       "  --no-typeinf         disable type inference\n"
       "  --sequential         baseline: sequential Decompiler calls\n"
@@ -267,7 +260,13 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      O->Serve.BeamSize = std::atoi(V);
+      char *End = nullptr;
+      long Beam = std::strtol(V, &End, 10);
+      if (End == V || *End != '\0' || Beam < 1 || Beam > INT_MAX) {
+        std::fprintf(stderr, "error: --beam must be an integer >= 1\n");
+        return false;
+      }
+      O->Serve.BeamSize = static_cast<int>(Beam);
     } else if (A == "--maxlen") {
       const char *V = Next();
       if (!V)
@@ -307,12 +306,6 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
         return false;
       O->Shards = std::max(0, std::atoi(V));
       O->Serve.Shards = O->Shards;
-    } else if (A == "--tick-threads") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->TickThreads = std::max(1, std::atoi(V));
-      O->Serve.TickThreads = O->TickThreads;
     } else if (A == "--stream") {
       O->Stream = true;
     } else if (A == "--rate") {
@@ -626,7 +619,6 @@ StreamOutcome streamThroughEngine(const core::Decompiler &Slade,
   EO.VerifyThreads = O.Serve.Threads;
   EO.MaxLiveSources = O.MaxLive;
   EO.Shards = O.Shards;
-  EO.TickThreads = O.TickThreads;
   EO.QueueCapacity = static_cast<size_t>(O.QueueCap);
   EO.Constrain = O.Constrain;
   EO.Speculate = O.Serve.Speculate;
