@@ -440,12 +440,8 @@ void BM_BeamSearchSequential(benchmark::State &State) {
 }
 BENCHMARK(BM_BeamSearchSequential)->Unit(benchmark::kMillisecond);
 
-/// Cross-request fused decode vs. a per-source loop over the same eight
-/// sources. Args: (BeamSize, TSrc). Fusion amortizes per-step weight
-/// streaming but adds each source's cross-K/V working set to the cache
-/// footprint — it wins for narrow beams over short sources and loses
-/// otherwise, which is what the serve scheduler's AUTO policy encodes.
-std::vector<std::vector<int>> multiBenchSources(int TSrc) {
+/// Eight deterministic synthetic sources of \p TSrc tokens each.
+std::vector<std::vector<int>> specBenchSources(int TSrc) {
   std::vector<std::vector<int>> Srcs;
   for (int S = 0; S < 8; ++S) {
     std::vector<int> Src;
@@ -455,29 +451,6 @@ std::vector<std::vector<int>> multiBenchSources(int TSrc) {
   }
   return Srcs;
 }
-
-void BM_BeamSearchMultiFused(benchmark::State &State) {
-  nn::TransformerConfig MC;
-  MC.Vocab = 512;
-  nn::Transformer Model(MC);
-  auto Srcs = multiBenchSources(static_cast<int>(State.range(1)));
-  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
-  for (const auto &Src : Srcs)
-    Encs.push_back(Model.encodeSource(Src));
-  nn::BeamConfig BC;
-  BC.BeamSize = static_cast<int>(State.range(0));
-  BC.MaxLen = 64;
-  for (auto _ : State) {
-    auto Hyps = nn::beamSearchMulti(Model, Encs, BC);
-    benchmark::DoNotOptimize(Hyps);
-  }
-}
-BENCHMARK(BM_BeamSearchMultiFused)
-    ->Args({1, 8})
-    ->Args({1, 200})
-    ->Args({5, 8})
-    ->Args({5, 200})
-    ->Unit(benchmark::kMillisecond);
 
 /// Speculative vs. plain beam decode over one pre-encoded source.
 /// Args: (BeamSize, DraftGamma); gamma 0 is the plain baseline the
@@ -510,14 +483,14 @@ const nn::DraftModel &specBenchDraft() {
     DC.Steps = 200;
     DC.MaxTeacherLen = 64;
     return new nn::DraftModel(nn::DraftModel::distill(
-        specBenchModel(), multiBenchSources(64), DC));
+        specBenchModel(), specBenchSources(64), DC));
   }();
   return *D;
 }
 
 void BM_SpecDecode(benchmark::State &State) {
   const nn::Transformer &Model = specBenchModel();
-  auto Enc = Model.encodeSource(multiBenchSources(64)[0]);
+  auto Enc = Model.encodeSource(specBenchSources(64)[0]);
   nn::BeamConfig BC;
   BC.BeamSize = static_cast<int>(State.range(0));
   BC.MaxLen = 64;
@@ -558,7 +531,7 @@ BENCHMARK(BM_SpecDecode)
 void BM_SpecDecodeGated(benchmark::State &State) {
   const nn::Transformer &Model = specBenchModel();
   const nn::Transformer &Draft = specBenchDraft().model();
-  auto Enc = Model.encodeSource(multiBenchSources(64)[0]);
+  auto Enc = Model.encodeSource(specBenchSources(64)[0]);
   nn::BeamConfig BC;
   BC.BeamSize = static_cast<int>(State.range(0));
   BC.MaxLen = 64;
@@ -567,9 +540,10 @@ void BM_SpecDecodeGated(benchmark::State &State) {
   int64_t Tokens = 0;
   for (auto _ : State) {
     nn::Transformer::BatchDecodeState St =
-        Model.startDecodeBatchMulti({Enc}, BC.BeamSize, BC.MaxLen + 1);
+        Model.startDecodeBatch(Enc, BC.BeamSize, BC.MaxLen + 1);
     nn::SpecSession Sess(Model, Draft);
-    Sess.initBatch({Enc}, BC.BeamSize, BC.MaxLen + 1);
+    Sess.initStream(1, BC.BeamSize, BC.MaxLen + 1);
+    Sess.admit(0, *Enc);
     std::vector<nn::beamcore::BeamMeta> Live(1);
     std::vector<nn::Hypothesis> Done;
     nn::beamcore::ConstraintCtx CC;
@@ -596,31 +570,6 @@ void BM_SpecDecodeGated(benchmark::State &State) {
 BENCHMARK(BM_SpecDecodeGated)
     ->Arg(1)
     ->Arg(5)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BeamSearchMultiLoop(benchmark::State &State) {
-  nn::TransformerConfig MC;
-  MC.Vocab = 512;
-  nn::Transformer Model(MC);
-  auto Srcs = multiBenchSources(static_cast<int>(State.range(1)));
-  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
-  for (const auto &Src : Srcs)
-    Encs.push_back(Model.encodeSource(Src));
-  nn::BeamConfig BC;
-  BC.BeamSize = static_cast<int>(State.range(0));
-  BC.MaxLen = 64;
-  for (auto _ : State) {
-    for (const auto &Enc : Encs) {
-      auto Hyps = nn::beamSearch(Model, Enc, BC);
-      benchmark::DoNotOptimize(Hyps);
-    }
-  }
-}
-BENCHMARK(BM_BeamSearchMultiLoop)
-    ->Args({1, 8})
-    ->Args({1, 200})
-    ->Args({5, 8})
-    ->Args({5, 200})
     ->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
@@ -750,7 +699,6 @@ void BM_SchedulerBatchTranslate(benchmark::State &State) {
   serve::ServeOptions SO;
   SO.BeamSize = 2;
   SO.MaxLen = 48;
-  SO.FusionProbeSteps = 4;
   serve::Scheduler Sched(*B.Slade, SO);
   std::vector<serve::TranslateJob> Jobs;
   for (const std::string &A : B.Asm)

@@ -6,12 +6,16 @@
 /// the IO tests. Greedy decoding is the k=1 special case used by the BTC
 /// baseline.
 ///
-/// The default beamSearch runs all beams through the model per step as one
+/// beamSearch is the solo decode driver (one request, plain or
+/// speculative): it runs all beams through the model per step as one
 /// batch (shared encoder/cross caches, batched GEMMs, survivor selection
-/// by index-gather). beamSearchSequential is the retained one-step-per-beam
-/// reference path: it runs the same search algorithm over per-beam
-/// DecodeStates that are deep-copied on survivor selection, and exists for
-/// equivalence tests and as the benchmark baseline.
+/// by index-gather). Multi-request decode is serve::Engine's job; both
+/// build their state through startDecodeStream + admitStreamRow and share
+/// the selection code in nn/BeamCore.h. beamSearchSequential is the
+/// retained one-step-per-beam reference path: it runs the same search
+/// algorithm over per-beam DecodeStates that are deep-copied on survivor
+/// selection, and exists for equivalence tests and as the benchmark
+/// baseline.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_NN_BEAM_H
@@ -103,20 +107,6 @@ beamSearch(const Transformer &Model,
            std::shared_ptr<const Transformer::EncoderCache> Enc,
            const BeamConfig &Cfg);
 
-/// Cross-request batched beam search: decodes ALL sources in one fused
-/// batched session — every decode step runs the union of the sources'
-/// live beams through the model as a single batch, so per-step GEMMs
-/// amortize across requests (the serving scheduler's throughput lever on
-/// one core). Per-source results are byte-identical to running beamSearch
-/// on each source alone: per-row step results do not depend on which
-/// other rows share the batch, and the per-source selection logic is the
-/// same code. Sources finishing early drop out of the batch.
-std::vector<std::vector<Hypothesis>> beamSearchMulti(
-    const Transformer &Model,
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &Sources,
-    const BeamConfig &Cfg);
-
 /// Sequential reference implementation (per-beam states, full-state copy
 /// on survivor selection). Same search algorithm and tie-breaking as
 /// beamSearch.
@@ -127,6 +117,12 @@ std::vector<Hypothesis> beamSearchSequential(const Transformer &Model,
 /// Greedy decode (beam of one, no reordering).
 std::vector<int> greedyDecode(const Transformer &Model,
                               const std::vector<int> &Src, int MaxLen);
+
+/// Same, over a pre-encoded source.
+std::vector<int>
+greedyDecode(const Transformer &Model,
+             std::shared_ptr<const Transformer::EncoderCache> Enc,
+             int MaxLen);
 
 } // namespace nn
 } // namespace slade

@@ -2,6 +2,7 @@
 
 #include "nn/DraftModel.h"
 
+#include "nn/Beam.h"
 #include "nn/InferRuntime.h"
 
 #include <algorithm>
@@ -50,20 +51,7 @@ DraftModel DraftModel::distill(const Transformer &Full,
       continue;
     Pair P;
     P.Enc = Full.encodeSource(Src);
-    Transformer::BatchDecodeState St =
-        Full.startDecodeBatch(P.Enc, 1, Cfg.MaxTeacherLen + 1);
-    std::vector<float> Logits =
-        Full.stepDecodeBatch(St, {Transformer::BosId});
-    for (int Step = 0; Step < Cfg.MaxTeacherLen; ++Step) {
-      int Best = 0;
-      for (size_t I = 1; I < Logits.size(); ++I)
-        if (Logits[I] > Logits[static_cast<size_t>(Best)])
-          Best = static_cast<int>(I);
-      if (Best == Transformer::EosId || Best == Transformer::PadId)
-        break;
-      P.Tgt.push_back(Best);
-      Logits = Full.stepDecodeBatch(St, {Best});
-    }
+    P.Tgt = greedyDecode(Full, P.Enc, Cfg.MaxTeacherLen);
     Pairs.push_back(std::move(P));
   }
 

@@ -402,48 +402,6 @@ InferRuntime::buildPackedWeights() const {
 // Batched decode (shared encoder/cross caches, one GEMM per beam batch)
 //===----------------------------------------------------------------------===//
 
-Transformer::BatchDecodeState InferRuntime::startDecodeBatchMulti(
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &Encs,
-    int BeamsPerSource, int MaxSteps) const {
-  assert(!Encs.empty() && BeamsPerSource > 0 && MaxSteps > 0);
-  Transformer::BatchDecodeState St;
-  int MaxBeams = BeamsPerSource * static_cast<int>(Encs.size());
-  assert(Encs.size() <= 65535 && BeamsPerSource <= 65535 &&
-         "source/slot ids are uint16");
-  St.B = static_cast<int>(Encs.size()); // One BOS row per source.
-  St.BMax = MaxBeams;
-  St.KMax = BeamsPerSource;
-  St.Cap = MaxSteps;
-  St.SegCount = static_cast<int>(Encs.size());
-  St.SegLen.assign(Encs.size(), 0);
-  St.RowEnc = Encs;
-  St.RowEnc.resize(static_cast<size_t>(MaxBeams));
-  St.RowSource.assign(static_cast<size_t>(MaxBeams), 0);
-  for (size_t S = 0; S < Encs.size(); ++S)
-    St.RowSource[S] = static_cast<uint16_t>(S);
-  for (const auto &Enc : Encs)
-    St.MaxTSrc = std::max(St.MaxTSrc, Enc->TSrc);
-  // All rows share one model: borrow the constants from the first source
-  // (every EncoderCache of a model references the same copy).
-  St.Consts = Encs.front()->Consts;
-  int D = M.Cfg.DModel;
-  size_t PerLayer = static_cast<size_t>(MaxBeams) * St.Cap * D;
-  St.SelfK.assign(M.Dec.size(), std::vector<float>(PerLayer));
-  St.SelfV.assign(M.Dec.size(), std::vector<float>(PerLayer));
-  St.Anc.assign(static_cast<size_t>(MaxBeams) * St.Cap, 0);
-  size_t Rows = static_cast<size_t>(MaxBeams) * D;
-  St.X.resize(Rows);
-  St.Norm.resize(Rows);
-  St.QKV.resize(Rows * 3);
-  St.AttnOut.resize(Rows);
-  St.Proj.resize(Rows);
-  St.FF1.resize(static_cast<size_t>(MaxBeams) * M.Cfg.FF);
-  St.Scores.resize(static_cast<size_t>(M.Cfg.NHeads) *
-                   std::max(St.Cap, St.MaxTSrc));
-  return St;
-}
-
 Transformer::BatchDecodeState
 InferRuntime::startDecodeStream(int MaxSources, int BeamsPerSource,
                                 int MaxSteps) const {

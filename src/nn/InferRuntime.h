@@ -99,10 +99,6 @@ public:
   /// DecodeConstants by bumpWeightVersion().
   std::shared_ptr<const Transformer::PackedWeights> buildPackedWeights() const;
 
-  Transformer::BatchDecodeState startDecodeBatchMulti(
-      const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-          &Encs,
-      int BeamsPerSource, int MaxSteps) const;
   Transformer::BatchDecodeState
   startDecodeStream(int MaxSources, int BeamsPerSource, int MaxSteps) const;
   int admitStreamRow(Transformer::BatchDecodeState &St, int Seg,

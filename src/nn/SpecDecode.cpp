@@ -10,17 +10,6 @@
 using namespace slade;
 using namespace slade::nn;
 
-void SpecSession::initBatch(
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &FullEncs,
-    int BeamsPerSource, int MaxSteps) {
-  std::vector<std::shared_ptr<const Transformer::EncoderCache>> DraftEncs;
-  DraftEncs.reserve(FullEncs.size());
-  for (const auto &E : FullEncs)
-    DraftEncs.push_back(deriveDraftCache(Draft, *E));
-  DraftSt = Draft.startDecodeBatchMulti(DraftEncs, BeamsPerSource, MaxSteps);
-}
-
 void SpecSession::initStream(int MaxSources, int BeamsPerSource,
                              int MaxSteps) {
   DraftSt = Draft.startDecodeStream(MaxSources, BeamsPerSource, MaxSteps);

@@ -1,9 +1,9 @@
 //===- SpecDecode.h - speculative propose/verify decode rounds --*- C++ -*-===//
 ///
 /// \file
-/// The speculative shallow-deep decode loop shared by every decode
-/// driver (beamSearch, beamSearchMulti, and the serve engine's
-/// continuous batch). One ROUND replaces one-or-more plain beam steps:
+/// The speculative shallow-deep decode loop shared by both decode
+/// drivers (beamSearch and the serve engine's continuous batch). One
+/// ROUND replaces one-or-more plain beam steps:
 ///
 ///   1. Depth-0 plan rows apply the PENDING selection (the last exact
 ///      beam step) to the live state rows — always exact.
@@ -56,15 +56,10 @@ public:
   SpecSession(const Transformer &Full, const Transformer &Draft)
       : Full(Full), Draft(Draft) {}
 
-  /// Mirrors Transformer::startDecodeBatchMulti on the draft state:
-  /// derives a draft-side cache per full-model cache.
-  void initBatch(
-      const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-          &FullEncs,
-      int BeamsPerSource, int MaxSteps);
   /// Mirrors Transformer::startDecodeStream.
   void initStream(int MaxSources, int BeamsPerSource, int MaxSteps);
-  /// Mirrors a successful admitStreamRow on the full state (same Seg).
+  /// Mirrors a successful admitStreamRow on the full state (same Seg):
+  /// derives the draft-side cache from the full-model cache.
   void admit(int Seg, const Transformer::EncoderCache &FullEnc);
   /// Mirrors abortStreamSegment.
   void abortSegment(int Seg);

@@ -489,14 +489,9 @@ std::vector<float> Transformer::stepDecode(DecodeState &St,
 Transformer::BatchDecodeState
 Transformer::startDecodeBatch(std::shared_ptr<const EncoderCache> Enc,
                               int MaxBeams, int MaxSteps) const {
-  return startDecodeBatchMulti({std::move(Enc)}, MaxBeams, MaxSteps);
-}
-
-Transformer::BatchDecodeState Transformer::startDecodeBatchMulti(
-    const std::vector<std::shared_ptr<const EncoderCache>> &Encs,
-    int BeamsPerSource, int MaxSteps) const {
-  return InferRuntime(*this).startDecodeBatchMulti(Encs, BeamsPerSource,
-                                                   MaxSteps);
+  BatchDecodeState St = startDecodeStream(1, MaxBeams, MaxSteps);
+  admitStreamRow(St, 0, std::move(Enc)); // An idle state never refuses.
+  return St;
 }
 
 Transformer::BatchDecodeState

@@ -10,7 +10,7 @@
 ///
 /// Execution is split by purpose: the Graph-based encode/decode/pairLoss
 /// are the training path (autograd tape) and the bit-exactness oracle;
-/// every serving entry point below (encodeSource, startDecodeBatch[Multi],
+/// every serving entry point below (encodeSource, startDecodeStream,
 /// stepDecodeBatch, decodeConstants) delegates to the graph-free
 /// InferRuntime (nn/InferRuntime.h), which runs on raw preallocated
 /// buffers with the tiled kernels.
@@ -277,7 +277,7 @@ public:
 
   /// Batched decode over B parallel hypotheses. Each row carries its own
   /// encoder cache, so one state can fuse the beams of MANY sources into
-  /// one batch (the serving scheduler's cross-request batching): the
+  /// one batch (the serve engine's cross-request batching): the
   /// per-step GEMMs run over ALL rows, amortizing weight-matrix traffic
   /// across requests, while the decode constants are the shared per-model
   /// copy. Encoder output and cross-K/V are never copied per beam.
@@ -290,7 +290,7 @@ public:
   /// per-beam ancestry table of segment-local slots, so survivor
   /// selection never moves cached K/V data — it only gathers the (tiny)
   /// index rows. Rows of one source must stay CONTIGUOUS in row order
-  /// (beamSearchMulti and the serve engine both guarantee this).
+  /// (the serve engine guarantees this).
   ///
   /// Decode positions are PER SEGMENT (SegLen), not batch-global: every
   /// source carries its own clock, so sources can join and leave the
@@ -330,20 +330,15 @@ public:
     QuantizedMat ActQ; ///< int8 activation scratch (draft models).
   };
 
-  /// Prepares a batched state sharing \p Enc with room for \p MaxBeams
-  /// beams over \p MaxSteps positions. The state starts with one active
-  /// beam (the BOS hypothesis); reorderBeams grows it up to MaxBeams.
+  /// Prepares a batched state for ONE source: startDecodeStream(1, ...)
+  /// plus admitStreamRow of \p Enc into segment 0, so the solo drivers
+  /// build exactly the state the serve engine builds. Room for \p MaxBeams
+  /// beams over \p MaxSteps positions; the state starts with one active
+  /// beam (the BOS hypothesis) and reorderBeams grows it up to MaxBeams.
   BatchDecodeState startDecodeBatch(std::shared_ptr<const EncoderCache> Enc,
                                     int MaxBeams, int MaxSteps) const;
-  /// Multi-source variant: one state fusing \p Encs.size() sources, one
-  /// initial BOS beam per source (row i belongs to source i), with room
-  /// for \p BeamsPerSource beams per source. All sources start decoding at
-  /// step 0 together; rows of finished sources are dropped by
-  /// reorderBeams.
-  BatchDecodeState startDecodeBatchMulti(
-      const std::vector<std::shared_ptr<const EncoderCache>> &Encs,
-      int BeamsPerSource, int MaxSteps) const;
-  /// Streaming variant (the serve engine's continuous batch): allocates a
+  /// The state constructor behind every batched decode (the serve
+  /// engine's continuous batch, and startDecodeBatch): allocates a
   /// state with \p MaxSources self-K/V segments of \p BeamsPerSource rows
   /// each but NO live rows — sources are bound later, one at a time, via
   /// admitStreamRow, and may join/leave at any step.

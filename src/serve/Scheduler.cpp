@@ -26,89 +26,6 @@ Scheduler::Scheduler(const core::Decompiler &D, const ServeOptions &Opts)
       Pool(Opts.Threads > 0 ? static_cast<unsigned>(Opts.Threads)
                             : ThreadPool::defaultConcurrency()) {}
 
-bool Scheduler::measureFusionWins(
-    const std::shared_ptr<const nn::Transformer::EncoderCache> &Enc) {
-  // Timing probe only: decode a few steps solo vs. two-way fused and
-  // compare the per-source step cost. States are throwaway; the run's
-  // already-encoded cache is reused, so the probe costs no encoder pass
-  // and touches no LRU statistics.
-  const nn::Transformer &Model = D.model();
-  int K = std::max(1, Opts.BeamSize);
-  int Steps = std::max(4, Opts.FusionProbeSteps);
-  auto TimeSteps = [&](int Sources) {
-    std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs(
-        static_cast<size_t>(Sources), Enc);
-    nn::Transformer::BatchDecodeState St =
-        Model.startDecodeBatchMulti(Encs, K, Steps + 2);
-    Model.stepDecodeBatch(
-        St, std::vector<int>(static_cast<size_t>(Sources),
-                             nn::Transformer::BosId));
-    std::vector<int> Grow; // Expand every source to its full K rows.
-    for (int S = 0; S < Sources; ++S)
-      for (int B = 0; B < K; ++B)
-        Grow.push_back(S);
-    Model.reorderBeams(St, Grow);
-    std::vector<int> Tokens(Grow.size(), nn::Transformer::BosId);
-    auto T0 = std::chrono::steady_clock::now();
-    for (int S = 0; S < Steps; ++S)
-      Model.stepDecodeBatch(St, Tokens);
-    return secondsSince(T0);
-  };
-  TimeSteps(1); // Warm caches/scratch so the timed passes compare fair.
-  double Solo = TimeSteps(1);
-  double FusedPerSource = TimeSteps(2) / 2.0;
-  return FusedPerSource < Solo * 0.95;
-}
-
-int Scheduler::engineWidth(
-    const std::vector<std::vector<int>> &Srcs,
-    const std::vector<size_t> &UniqueIdx,
-    const std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>>
-        &Encs,
-    int ShardCount) {
-  if (!Opts.BatchDecode || Opts.BeamSize < 1)
-    return 1;
-  if (Opts.DecodeBatch > 0)
-    return Opts.DecodeBatch;
-  // A run with fewer than two unique sources cannot fuse anything:
-  // width 1, and no probe (the decision stays unmeasured for a run
-  // that could actually use it).
-  if (UniqueIdx.size() < 2)
-    return 1;
-  // AUTO: measured once per (weight version, beam width, shard count),
-  // then cached — repeated runs (the steady-state serving case) never
-  // re-probe, while a topology change re-measures (N shards share the
-  // memory system, which shifts the fused-vs-solo tradeoff). The
-  // decision is purely about speed; results are batch-invariant.
-  std::tuple<uint64_t, int, int> Key{D.model().weightVersion(),
-                                     Opts.BeamSize, ShardCount};
-  auto It = FusionDecisions.find(Key);
-  bool Fuse;
-  if (It != FusionDecisions.end()) {
-    Fuse = It->second;
-  } else {
-    // Probe the MEDIAN-length source so the decision represents the
-    // run's typical request, not its best case (fusion wins shrink as
-    // sources grow — bench/README.md).
-    std::vector<size_t> ByLen;
-    for (size_t U = 0; U < UniqueIdx.size(); ++U)
-      if (!Srcs[UniqueIdx[U]].empty())
-        ByLen.push_back(U);
-    if (ByLen.empty())
-      return 1; // Nothing to probe; decide again on a real run.
-    std::sort(ByLen.begin(), ByLen.end(), [&](size_t A, size_t B) {
-      return Srcs[UniqueIdx[A]].size() < Srcs[UniqueIdx[B]].size();
-    });
-    Fuse = measureFusionWins(Encs[ByLen[ByLen.size() / 2]]);
-    FusionDecisions.emplace(Key, Fuse);
-    ++M.FusionProbes;
-  }
-  if (!Fuse)
-    return 1;
-  // Target ~8 GEMM rows per fused step, at least two-way fusion.
-  return std::max(2, 8 / std::max(1, Opts.BeamSize));
-}
-
 std::vector<std::vector<nn::Hypothesis>>
 Scheduler::decodeAll(const std::vector<std::vector<int>> &Srcs) {
   nn::EncoderLRU::Stats Before = D.encoderCache().stats();
@@ -153,18 +70,15 @@ Scheduler::decodeAll(const std::vector<std::vector<int>> &Srcs) {
   // each shard's continuous batch, and recycles rows as sources finish,
   // so a straggler never stalls the others. Per-source results are
   // byte-identical to solo beamSearch regardless of width or shard
-  // count.
-  // The fusion decision is keyed by the RESOLVED topology (so varying
-  // corpus sizes share one cached probe); the engine itself never runs
-  // more shards than it has unique sources.
-  int ResolvedShards = resolveShardCount(Opts.Shards);
-  int ShardCount = std::min(
-      ResolvedShards, std::max(1, static_cast<int>(UniqueIdx.size())));
+  // count. The engine runs at its default width and never more shards
+  // than it has unique sources.
+  int ShardCount =
+      std::min(resolveShardCount(Opts.Shards),
+               std::max(1, static_cast<int>(UniqueIdx.size())));
   EngineOptions EO;
   EO.BeamSize = Opts.BeamSize;
   EO.MaxLen = Opts.MaxLen;
   EO.UseTypeInference = Opts.UseTypeInference;
-  EO.MaxLiveSources = engineWidth(Srcs, UniqueIdx, Encs, ResolvedShards);
   EO.Shards = ShardCount;
   // The batch front dedups its corpus up front and reports per-run
   // decode costs; a cross-run hypotheses cache would silently turn

@@ -7,10 +7,9 @@
 ///
 ///   dedup      identical tokenized sources decode ONCE (single-flight);
 ///   decode     every unique source streams through the engine's
-///              continuous batch: up to EngineMaxLive sources' beams
-///              fused per step, sources joining/leaving mid-flight as
-///              they finish (the width is the measured AUTO fusion
-///              decision, cached per weight version + beam width);
+///              continuous batch at its default width: up to
+///              EngineMaxLive sources' beams fused per step, sources
+///              joining/leaving mid-flight as they finish;
 ///   verify     per-candidate compile + IO-execution fanned out on the
 ///              worker pool after the decode stage drains (the batch
 ///              front keeps the two-stage shape; streaming clients that
@@ -33,9 +32,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -49,33 +46,11 @@ struct ServeOptions {
   /// Worker threads for the encode and verify fan-outs (0 = hardware
   /// concurrency).
   int Threads = 0;
-  /// Sources decoding concurrently in the engine's continuous batch
-  /// (its MaxLiveSources). Fusion amortizes per-step weight-matrix
-  /// streaming across requests, but every fused source adds its
-  /// cross-K/V working set (~ 2 * DecLayers * TSrc * DModel floats) to
-  /// the per-step cache footprint, so it only pays for narrow beams
-  /// over short sources (measured: ~1.2x at k=1/short, a loss at k=5 or
-  /// long sources — bench/README.md). 0 = AUTO: MEASURE fused vs. solo
-  /// per-step decode cost on this run's MEDIAN-length source (the
-  /// typical request, not fusion's best case) and fuse only when it
-  /// wins; the measured decision is cached per (weight version, beam
-  /// width), so repeated runs never re-probe. Safe because fusion never
-  /// changes results, only speed.
-  int DecodeBatch = 0;
-  /// Decode steps timed by one AUTO fusion probe (probe cost bound).
-  int FusionProbeSteps = 16;
-  /// Set false to force per-job decode (no cross-request fusion),
-  /// overriding DecodeBatch — the measurable baseline.
-  bool BatchDecode = true;
   /// Decode shards in the engine (independent decode threads, each with
   /// its own continuous batch). 0 = auto: one per hardware thread
   /// (capped; see serve::resolveShardCount), never more than the run's
-  /// unique sources. Sharding is what restores multi-core decode
-  /// fan-out for workloads where fusion loses (wide beams / long
-  /// sources): each shard decodes its own sources in parallel. The AUTO
-  /// fusion decision is cached per (weight version, beam width, shard
-  /// count) — the fused-vs-solo tradeoff shifts when N shards share the
-  /// memory system.
+  /// unique sources. Sharding is the multi-core decode fan-out: each
+  /// shard decodes its own sources in parallel.
   int Shards = 0;
   /// Grammar-constrained decoding (--constrain), forwarded to the
   /// engine. Off is byte-identical to the pre-constraint scheduler.
@@ -137,10 +112,6 @@ struct ServeMetrics {
   /// verify stage is overlapped but job-order collected); slade-serve
   /// --stream reports full end-to-end latency.
   double LatencyP50 = 0, LatencyP95 = 0, LatencyP99 = 0;
-  /// AUTO fusion probes actually measured during this run. 0 means the
-  /// cached per-(weight version, beam width, shard count) decision was
-  /// reused.
-  size_t FusionProbes = 0;
   /// Engine width used (max concurrently-live sources PER SHARD).
   int EngineMaxLive = 0;
   /// Decode shards the engine ran this run.
@@ -203,30 +174,10 @@ private:
   std::vector<std::vector<nn::Hypothesis>>
   decodeAll(const std::vector<std::vector<int>> &Srcs);
 
-  /// Engine width (per shard) for this run: DecodeBatch when forced,
-  /// else the measured AUTO decision (probe cached per weight version +
-  /// beam width + shard count; runs with fewer than two unique sources
-  /// use width 1 without probing — nothing could fuse).
-  int engineWidth(
-      const std::vector<std::vector<int>> &Srcs,
-      const std::vector<size_t> &UniqueIdx,
-      const std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>>
-          &Encs,
-      int ShardCount);
-  /// Times fused-vs-solo decode steps over an already-encoded source;
-  /// true when fusion's per-source step cost wins. Pure measurement —
-  /// never affects results.
-  bool measureFusionWins(
-      const std::shared_ptr<const nn::Transformer::EncoderCache> &Enc);
-
   const core::Decompiler &D;
   ServeOptions Opts;
   ThreadPool Pool;
   ServeMetrics M;
-  /// Measured AUTO fusion decisions, keyed by (weight version, beam
-  /// width, shard count) so repeated runs (the common serving case)
-  /// never re-probe, while a topology change re-measures.
-  std::map<std::tuple<uint64_t, int, int>, bool> FusionDecisions;
 };
 
 } // namespace serve

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Eval.h"
+#include "nn/Beam.h"
 #include "obs/Metrics.h"
 #include "serve/Engine.h"
 #include "serve/Jsonl.h"
@@ -135,73 +136,6 @@ TEST(Scheduler, ConcurrentDecompileMatchesSequentialByteForByte) {
     expectSameOutcome(Served[I], F.Slade->decompile(F.Tasks[I], DO), I);
 }
 
-TEST(Scheduler, FusedAndUnfusedDecodeAgree) {
-  ServeFixture F(5);
-  ASSERT_GE(F.Tasks.size(), 3u);
-
-  std::vector<serve::TranslateJob> Jobs;
-  for (const core::EvalTask &T : F.Tasks)
-    Jobs.push_back({T.Name, T.Prog.TargetAsm});
-
-  serve::ServeOptions Fused;
-  Fused.BeamSize = 2; // Narrow beams: the fusable regime.
-  Fused.MaxLen = 40;
-  Fused.DecodeBatch = 4; // Force cross-request fusion.
-  // One shard: with several, the 5 sources spread across shards and
-  // whether two share a tick depends on routing and timing, not fusion.
-  Fused.Shards = 1;
-  serve::Scheduler SFused(*F.Slade, Fused);
-  auto RF = SFused.translate(Jobs);
-  EXPECT_GE(SFused.metrics().DecodesFused, 2u);
-
-  serve::ServeOptions Plain = Fused;
-  Plain.BatchDecode = false; // Per-job decode.
-  serve::Scheduler SPlain(*F.Slade, Plain);
-  auto RP = SPlain.translate(Jobs);
-
-  ASSERT_EQ(RF.size(), RP.size());
-  for (size_t I = 0; I < RF.size(); ++I) {
-    EXPECT_EQ(RF[I].Name, RP[I].Name);
-    EXPECT_EQ(RF[I].CSource, RP[I].CSource) << "job " << I;
-  }
-  // And both match the plain Decompiler entry point.
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    EXPECT_EQ(RF[I].CSource, F.Slade->translate(Jobs[I].Asm, Fused.BeamSize,
-                                                Fused.MaxLen))
-        << "job " << I;
-}
-
-TEST(Scheduler, AutoFusionProbeIsCachedAcrossRuns) {
-  // The AUTO fusion decision is a timing probe; repeated runs with the
-  // same weights + beam width must reuse the cached decision instead of
-  // re-measuring.
-  ServeFixture F(4);
-  ASSERT_GE(F.Tasks.size(), 2u);
-  std::vector<serve::TranslateJob> Jobs;
-  for (const core::EvalTask &T : F.Tasks)
-    Jobs.push_back({T.Name, T.Prog.TargetAsm});
-
-  serve::ServeOptions SO; // DecodeBatch = 0: the AUTO policy.
-  SO.BeamSize = 2;
-  SO.MaxLen = 24;
-  SO.FusionProbeSteps = 4; // Keep the probe cheap in tests.
-  serve::Scheduler Sched(*F.Slade, SO);
-  auto First = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().FusionProbes, 1u) << "first run measures";
-  auto Second = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().FusionProbes, 0u)
-      << "second run must reuse the cached decision";
-  for (size_t I = 0; I < First.size(); ++I)
-    EXPECT_EQ(First[I].CSource, Second[I].CSource);
-  // Forcing the width bypasses the probe entirely.
-  serve::ServeOptions Forced = SO;
-  Forced.DecodeBatch = 2;
-  serve::Scheduler SF(*F.Slade, Forced);
-  SF.translate(Jobs);
-  EXPECT_EQ(SF.metrics().FusionProbes, 0u);
-  EXPECT_EQ(SF.metrics().EngineMaxLive, 2);
-}
-
 // -- streaming engine --------------------------------------------------------
 
 TEST(AdmissionQueue, BoundedBackpressureAndClose) {
@@ -324,6 +258,82 @@ TEST(SlotAllocator, RecyclesLifoAndGuardsDoubleRelease) {
   EXPECT_EQ(S.acquire(), -1) << "exhausted";
   S.release(0);
   EXPECT_EQ(S.acquire(), 0) << "retire-then-admit reuses the same slot";
+}
+
+/// Submits raw token \p Sources, pre-encoded, all at once to ONE engine
+/// shard whose fused batch holds several of them, and asserts every
+/// request's hypotheses — tokens AND scores — are bit-equal to solo
+/// nn::beamSearch on that source. Per-row step results do not depend on
+/// which other rows share the batch, and the per-source selection logic
+/// is the same code; the serving layer's determinism guarantee rests on
+/// this, so the comparison is exact, not approximate.
+void expectEngineHypsMatchSoloBeam(
+    const core::Decompiler &D, const std::vector<std::vector<int>> &Sources,
+    int K, int MaxLen) {
+  serve::EngineOptions EO;
+  EO.BeamSize = K;
+  EO.MaxLen = MaxLen;
+  EO.MaxLiveSources = 3;
+  EO.Shards = 1; // Every source decodes in the same continuous batch.
+  EO.QueueCapacity = Sources.size();
+  EO.UseDecodeCache = false; // Every request decodes or attaches.
+  serve::Engine Eng(D, EO);
+  std::vector<serve::Handle> Futs;
+  for (const std::vector<int> &Src : Sources)
+    Futs.push_back(
+        Eng.submit({"src", "", Src, D.model().encodeSource(Src), nullptr}));
+
+  nn::BeamConfig BC;
+  BC.BeamSize = K;
+  BC.MaxLen = MaxLen;
+  for (size_t S = 0; S < Sources.size(); ++S) {
+    serve::RequestResult R = Futs[S].get();
+    ASSERT_TRUE(R.ok()) << "k=" << K << " src " << S;
+    std::vector<nn::Hypothesis> Solo =
+        nn::beamSearch(D.model(), Sources[S], BC);
+    ASSERT_EQ(R.Hyps.size(), Solo.size()) << "k=" << K << " src " << S;
+    for (size_t I = 0; I < Solo.size(); ++I) {
+      EXPECT_EQ(R.Hyps[I].Tokens, Solo[I].Tokens)
+          << "k=" << K << " src " << S << " hyp " << I;
+      EXPECT_EQ(R.Hyps[I].Score, Solo[I].Score)
+          << "k=" << K << " src " << S << " hyp " << I;
+    }
+  }
+  EXPECT_GE(Eng.metrics().FusedJobs, 2u)
+      << "k=" << K << ": sources must have shared ticks";
+}
+
+TEST(Engine, FusedHypsMatchSoloBeamSearchExactly) {
+  ServeFixture F(1);
+  ASSERT_GT(F.Slade->model().config().Vocab, 30);
+  std::vector<std::vector<int>> Sources = {
+      {4, 5, 6}, {9, 8, 7, 6, 5}, {30, 2, 17, 21}, {3}, {12, 13},
+      {4, 5, 6} /* duplicate request */};
+  for (int K : {1, 3, 5})
+    expectEngineHypsMatchSoloBeam(*F.Slade, Sources, K, /*MaxLen=*/14);
+}
+
+TEST(Engine, FusedHypsAfterTrainingMatchSoloBeamSearchExactly) {
+  // Trained model: peaked distributions end sources at different steps,
+  // exercising batch shrink + mixed-length cross attention.
+  ServeFixture F(1);
+  nn::Transformer Model = F.Slade->model();
+  nn::AdamW::Config AC;
+  AC.LR = 1e-2f;
+  AC.WarmupSteps = 10;
+  nn::AdamW Opt(Model.params(), AC, &Model);
+  std::vector<int> Src = {5, 6, 7, 8};
+  std::vector<int> Tgt = {10, 11, 12};
+  for (int Step = 0; Step < 60; ++Step) {
+    nn::Graph G;
+    Model.pairLoss(G, Src, Tgt, true);
+    G.backward();
+    Opt.step();
+  }
+  core::Decompiler D(F.Slade->tokenizer(), std::move(Model));
+  expectEngineHypsMatchSoloBeam(
+      D, {Src, {9, 8, 7}, {5, 6, 7, 8, 9, 10}, Src}, /*K=*/5,
+      /*MaxLen=*/12);
 }
 
 TEST(Engine, StreamedArrivalsMatchSoloByteForByte) {

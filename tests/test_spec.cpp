@@ -4,9 +4,9 @@
 // distilled, untrained, even adversarially wrong — every decode driver
 // must produce bit-for-bit the hypotheses of plain decode, because all
 // committed selections consume exact full-model logits. These tests pin
-// that contract at the nn level (beamSearch / beamSearchMulti) and the
-// serving level (sharded engine), plus the int8 kernel properties the
-// draft relies on.
+// that contract at the nn level (beamSearch) and the serving level
+// (the sharded engine, which runs multi-source speculation), plus the
+// int8 kernel properties the draft relies on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -222,27 +222,6 @@ TEST(SpecDecode, BeamSearchByteIdenticalAcrossGammas) {
   }
 }
 
-TEST(SpecDecode, BeamSearchMultiByteIdentical) {
-  SpecFixture F;
-  DraftModel Draft = F.makeDraft(/*Steps=*/30);
-  BeamConfig Plain;
-  Plain.BeamSize = 3;
-  Plain.MaxLen = 24;
-  std::vector<std::shared_ptr<const Transformer::EncoderCache>> Encs;
-  for (const std::vector<int> &Src : F.Sources)
-    Encs.push_back(F.Full->encodeSource(Src));
-  std::vector<std::vector<Hypothesis>> Want =
-      beamSearchMulti(*F.Full, Encs, Plain);
-  BeamConfig Spec = Plain;
-  Spec.Draft = &Draft.model();
-  Spec.DraftGamma = 3;
-  std::vector<std::vector<Hypothesis>> Got =
-      beamSearchMulti(*F.Full, Encs, Spec);
-  ASSERT_EQ(Want.size(), Got.size());
-  for (size_t I = 0; I < Want.size(); ++I)
-    expectSameHyps(Want[I], Got[I], "beamSearchMulti");
-}
-
 TEST(SpecDecode, UntrainedDraftStillByteIdentical) {
   // A draft that proposes near-noise: acceptance collapses, output must
   // not change (the fallback at every disagreement is the full model's
@@ -367,59 +346,6 @@ TEST(SpecServe, EngineByteIdenticalAcrossShardCountsAndConstraint) {
       EXPECT_GT(M.SpecRounds, 0u) << "speculative ticks must have run";
       EXPECT_GT(M.DraftProposed, 0u) << "the draft must have proposed";
       EXPECT_EQ(M.SpecFallbacks, 0u) << "mode On never gates";
-    }
-  }
-}
-
-TEST(SpecServe, ByteIdenticalWithSpeculation) {
-  // Speculative serving (int8 draft forwards plus the full model's
-  // batched verify) must stay byte-identical to the plain sequential
-  // oracle at every shard count, with and without the grammar
-  // constraint.
-  testutil::DecompilerFixture F(5);
-  ASSERT_GE(F.Tasks.size(), 3u);
-  const core::Decompiler &D = *F.Slade;
-  std::vector<std::string> Asm;
-  std::vector<std::vector<int>> Sources;
-  for (const core::EvalTask &T : F.Tasks) {
-    Asm.push_back(T.Prog.TargetAsm);
-    Sources.push_back(D.tokenizer().encode(T.Prog.TargetAsm));
-  }
-  DraftConfig DC;
-  DC.Steps = 40;
-  DC.BatchSize = 2;
-  DC.MaxTeacherLen = 24;
-  D.attachDraft(std::make_shared<const DraftModel>(
-      DraftModel::distill(D.model(), Sources, DC)));
-
-  for (bool Constrained : {false, true}) {
-    ConstrainMode CM =
-        Constrained ? ConstrainMode::Syntax : ConstrainMode::Off;
-    std::vector<std::string> Solo(Asm.size());
-    for (size_t I = 0; I < Asm.size(); ++I)
-      Solo[I] = D.translate(Asm[I], 2, 24, CM);
-
-    for (int Shards : {1, 2}) {
-      serve::EngineOptions EO;
-      EO.BeamSize = 2;
-      EO.MaxLen = 24;
-      EO.MaxLiveSources = 2;
-      EO.Shards = Shards;
-      EO.UseDecodeCache = false;
-      EO.Constrain = CM;
-      EO.Speculate = SpecMode::On;
-      EO.DraftGamma = 3;
-      serve::Engine Eng(D, EO);
-      std::vector<serve::Handle> Futs;
-      for (size_t R = 0; R < 2; ++R)
-        for (size_t I = 0; I < Asm.size(); ++I)
-          Futs.push_back(Eng.submit({"job", Asm[I], {}, {}, nullptr}));
-      for (size_t K = 0; K < Futs.size(); ++K)
-        EXPECT_EQ(Futs[K].get().CSource, Solo[K % Asm.size()])
-            << "constrained=" << Constrained << " shards=" << Shards
-            << " request " << K;
-      serve::EngineMetrics M = Eng.metrics();
-      EXPECT_GT(M.SpecRounds, 0u) << "speculative ticks must have run";
     }
   }
 }

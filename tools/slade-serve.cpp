@@ -128,13 +128,8 @@ void usage() {
       "                       (default off)\n"
       "  --draft-gamma N      draft proposal depth per speculative\n"
       "                       round (default 4)\n"
-      "  --maxlen N           max decoded tokens (default 220)\n"
+      "  --maxlen N           max decoded tokens, >= 1 (default 220)\n"
       "  --threads N          worker threads, 0 = hardware (default)\n"
-      "  --decode-batch N     max sources decoding concurrently in the\n"
-      "                       engine (default 0 = auto: a timing probe\n"
-      "                       measures whether fusion wins at this beam\n"
-      "                       width; the decision is cached per weight\n"
-      "                       version + beam width)\n"
       "  --enc-cache-mb N     cap the encoder-output LRU at N MiB\n"
       "  --dec-cache-mb N     cap the decoded-hypotheses LRU at N MiB\n"
       "                       (streaming engine: repeats that never\n"
@@ -143,7 +138,6 @@ void usage() {
       "                       each running its own continuous batch\n"
       "                       (default 0 = one per hardware thread,\n"
       "                       capped at 8)\n"
-      "  --no-batch           disable cross-request decode batching\n"
       "  --no-typeinf         disable type inference\n"
       "  --sequential         baseline: sequential Decompiler calls\n"
       "  --check              run batched AND sequential, compare outputs\n"
@@ -189,6 +183,17 @@ void usage() {
       "                       live (full request-outcome families) and\n"
       "                       dumps an extra scrape on SIGUSR1; batch\n"
       "                       modes render at exit\n");
+}
+
+/// Strict integer parse: the whole of \p V must be a decimal integer in
+/// [1, INT_MAX].
+bool parsePositiveInt(const char *V, int *Out) {
+  char *End = nullptr;
+  long N = std::strtol(V, &End, 10);
+  if (End == V || *End != '\0' || N < 1 || N > INT_MAX)
+    return false;
+  *Out = static_cast<int>(N);
+  return true;
 }
 
 bool parseArgs(int argc, char **argv, CliOptions *O) {
@@ -260,28 +265,23 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      char *End = nullptr;
-      long Beam = std::strtol(V, &End, 10);
-      if (End == V || *End != '\0' || Beam < 1 || Beam > INT_MAX) {
+      if (!parsePositiveInt(V, &O->Serve.BeamSize)) {
         std::fprintf(stderr, "error: --beam must be an integer >= 1\n");
         return false;
       }
-      O->Serve.BeamSize = static_cast<int>(Beam);
     } else if (A == "--maxlen") {
       const char *V = Next();
       if (!V)
         return false;
-      O->Serve.MaxLen = std::atoi(V);
+      if (!parsePositiveInt(V, &O->Serve.MaxLen)) {
+        std::fprintf(stderr, "error: --maxlen must be an integer >= 1\n");
+        return false;
+      }
     } else if (A == "--threads") {
       const char *V = Next();
       if (!V)
         return false;
       O->Serve.Threads = std::atoi(V);
-    } else if (A == "--decode-batch") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->Serve.DecodeBatch = std::atoi(V);
     } else if (A == "--enc-cache-mb") {
       const char *V = Next();
       if (!V)
@@ -401,8 +401,6 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       if (!V)
         return false;
       O->MetricsOut = V;
-    } else if (A == "--no-batch") {
-      O->Serve.BatchDecode = false;
     } else if (A == "--no-typeinf") {
       O->Serve.UseTypeInference = false;
     } else if (A == "--sequential") {
@@ -469,13 +467,13 @@ void printMetrics(const char *Label, const serve::ServeMetrics &M) {
   std::fprintf(stderr,
                "[%s] %zu functions in %.3fs = %.2f fn/s (encode %.3fs, "
                "decode %.3fs, verify %.3fs; %zu deduped, %zu fused "
-               "(width %d, %d shards, %zu probes), encoder cache %llu "
+               "(width %d, %d shards), encoder cache %llu "
                "hits / %llu misses = %.0f%% hit rate, cold encode %.2f "
                "ms mean, %.1f KiB cached)\n",
                Label, M.Jobs, M.TotalSeconds, M.FunctionsPerSec,
                M.EncodeSeconds, M.DecodeSeconds, M.VerifySeconds,
                M.DecodesDeduped, M.DecodesFused, M.EngineMaxLive,
-               M.EngineShards, M.FusionProbes,
+               M.EngineShards,
                static_cast<unsigned long long>(M.EncoderCacheHits),
                static_cast<unsigned long long>(M.EncoderCacheMisses),
                100.0 * M.EncoderCacheHitRate, M.ColdEncodeMsMean,
@@ -526,7 +524,6 @@ std::string metricsJson(const char *Label, const serve::ServeMetrics &M) {
      << ", \"decode_cache_hits\": " << M.DecodeCacheHits
      << ", \"decode_cache_misses\": " << M.DecodeCacheMisses
      << ", \"decode_cache_bytes\": " << M.DecodeCacheBytes
-     << ", \"fusion_probes\": " << M.FusionProbes
      << ", \"requests_shed\": " << M.RequestsShed
      << ", \"requests_expired\": " << M.RequestsExpired
      << ", \"requests_cancelled\": " << M.RequestsCancelled
