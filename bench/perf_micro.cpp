@@ -226,30 +226,61 @@ void BM_DecodeStep(benchmark::State &State) {
 }
 BENCHMARK(BM_DecodeStep);
 
-/// One batched step for five beams — the amortized per-step cost of the
-/// batched beam search (compare against 5x BM_DecodeStep).
-void BM_DecodeStepBatched5(benchmark::State &State) {
+/// A decode state over one encoded source per \p Encs entry, each past
+/// its BOS step and grown to five beams whose rows stay contiguous per
+/// source, as the serving engine keeps them.
+nn::Transformer::BatchDecodeState beamTickState(
+    const nn::Transformer &Model,
+    const std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>>
+        &Encs) {
+  const int Sources = static_cast<int>(Encs.size());
+  nn::Transformer::BatchDecodeState St =
+      Model.startDecodeStream(Sources, 5, 256);
+  for (int S = 0; S < Sources; ++S)
+    Model.admitStreamRow(St, S, Encs[static_cast<size_t>(S)]);
+  Model.stepDecodeBatch(St, std::vector<int>(static_cast<size_t>(Sources),
+                                             nn::Transformer::BosId));
+  std::vector<int> Rows;
+  for (int S = 0; S < Sources; ++S)
+    Rows.insert(Rows.end(), 5, S);
+  Model.reorderBeams(St, Rows);
+  return St;
+}
+
+/// Decode ticks of \p Sources distinct sources x 5 beams, each source
+/// State.range(0) tokens long.
+void runBeamTicks(benchmark::State &State, int Sources) {
   nn::TransformerConfig MC;
   MC.Vocab = 512;
   nn::Transformer Model(MC);
-  std::vector<int> Src(128, 5);
-  auto Enc = Model.encodeSource(Src);
-  nn::Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Enc, 5, 256);
-  Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-  Model.reorderBeams(St, {0, 0, 0, 0, 0});
-  std::vector<int> Tokens = {7, 8, 9, 10, 11};
+  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
+  for (int S = 0; S < Sources; ++S)
+    Encs.push_back(Model.encodeSource(
+        std::vector<int>(static_cast<size_t>(State.range(0)), 5 + S)));
+  nn::Transformer::BatchDecodeState St = beamTickState(Model, Encs);
+  std::vector<int> Tokens;
+  for (int R = 0; R < St.B; ++R)
+    Tokens.push_back(7 + R);
   for (auto _ : State) {
     auto Logits = Model.stepDecodeBatch(St, Tokens);
     benchmark::DoNotOptimize(Logits);
-    if (St.Len > 200) {
-      St = Model.startDecodeBatch(Enc, 5, 256);
-      Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-      Model.reorderBeams(St, {0, 0, 0, 0, 0});
-    }
+    if (St.Len > 200)
+      St = beamTickState(Model, Encs);
   }
 }
-BENCHMARK(BM_DecodeStepBatched5);
+
+/// One batched step for five beams of one source — the amortized
+/// per-step cost of the batched beam search (compare against 5x
+/// BM_DecodeStep) — at source lengths 128 and 330.
+void BM_DecodeStepBatched5(benchmark::State &State) {
+  runBeamTicks(State, 1);
+}
+BENCHMARK(BM_DecodeStepBatched5)->Arg(128)->Arg(330);
+
+/// One engine tick of 4 sources x 5 beams, the burst-dup shape (4 live
+/// sources per shard): cross-attention runs one group per source.
+void BM_DecodeStep4x5(benchmark::State &State) { runBeamTicks(State, 4); }
+BENCHMARK(BM_DecodeStep4x5)->Arg(128)->Arg(330);
 
 /// Per-call weight packing vs. the pre-packed operand, at the decode
 /// tick's biggest GEMM (the logits projection, [5,64] x [64,512]):
@@ -290,7 +321,7 @@ BENCHMARK(BM_GemmPrepacked)->Arg(0)->Arg(1);
 /// Arg 0: tracing off (the always-compiled default cost).
 /// Arg 1: tracing on, --trace-sample 16 (the recommended sampling).
 /// Arg 2: tracing on, sample everything (worst case).
-/// Budget (bench/README.md): Arg 0 within 1% of BM_DecodeStepBatched5,
+/// Budget (bench/README.md): Arg 0 within 1% of BM_DecodeStepBatched5/128,
 /// Arg 1 within 2%.
 void BM_TraceOverhead(benchmark::State &State) {
   nn::TransformerConfig MC;

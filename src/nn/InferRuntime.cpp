@@ -431,8 +431,8 @@ InferRuntime::startDecodeStream(int MaxSources, int BeamsPerSource,
   St.AttnOut.resize(Rows);
   St.Proj.resize(Rows);
   St.FF1.resize(static_cast<size_t>(MaxBeams) * M.Cfg.FF);
-  // MaxTSrc is unknown until sources bind; admitStreamRow grows Scores.
-  St.Scores.resize(static_cast<size_t>(M.Cfg.NHeads) * St.Cap);
+  // Scores depends on MaxTSrc, unknown until sources bind: the forward
+  // pass grows it.
   return St;
 }
 
@@ -459,10 +459,6 @@ int InferRuntime::admitStreamRow(
     return -1;
   St.SegLen[static_cast<size_t>(Seg)] = 0; // Fresh decode clock.
   St.MaxTSrc = std::max(St.MaxTSrc, Enc->TSrc);
-  size_t NeedScores = static_cast<size_t>(M.Cfg.NHeads) *
-                      static_cast<size_t>(std::max(St.Cap, St.MaxTSrc));
-  if (St.Scores.size() < NeedScores)
-    St.Scores.resize(NeedScores);
   int Row = St.B++;
   St.RowEnc[static_cast<size_t>(Row)] = std::move(Enc);
   St.RowSource[static_cast<size_t>(Row)] = static_cast<uint16_t>(Seg);
@@ -470,58 +466,6 @@ int InferRuntime::admitStreamRow(
 }
 
 namespace {
-
-#ifdef SLADE_SIMD_EXP
-
-/// AVX2 softmax-attention over cached rows for one query row, one head
-/// slice of DhT = NV*8 floats. The score pass keeps the dot product in
-/// two FMA chains per row; the value pass holds the output slice in NV
-/// register accumulators across the whole context.
-template <int NV, typename RowOfK, typename RowOfV>
-inline void attendHeadAVX(const float *Qh, float *Oh, int T, int Off,
-                          float InvS, float *SRow, const RowOfK &KRowOf,
-                          const RowOfV &VRowOf) {
-  __m256 Q[NV];
-  for (int V = 0; V < NV; ++V)
-    Q[V] = _mm256_loadu_ps(Qh + V * 8);
-  float MaxS = -1e30f;
-  for (int Tt = 0; Tt < T; ++Tt) {
-    const float *KRow = KRowOf(Tt) + Off;
-    __m256 Acc = _mm256_mul_ps(Q[0], _mm256_loadu_ps(KRow));
-    for (int V = 1; V < NV; ++V)
-      Acc = _mm256_fmadd_ps(Q[V], _mm256_loadu_ps(KRow + V * 8), Acc);
-    float Dot = hsum256(Acc) * InvS;
-    SRow[Tt] = Dot;
-    MaxS = std::max(MaxS, Dot);
-  }
-  __m256 MaxV = _mm256_set1_ps(MaxS);
-  __m256 SumV = _mm256_setzero_ps();
-  int Tt = 0;
-  for (; Tt + 8 <= T; Tt += 8) {
-    __m256 E = exp256Ps(_mm256_sub_ps(_mm256_loadu_ps(SRow + Tt), MaxV));
-    _mm256_storeu_ps(SRow + Tt, E);
-    SumV = _mm256_add_ps(SumV, E);
-  }
-  float Sum = hsum256(SumV);
-  for (; Tt < T; ++Tt) {
-    SRow[Tt] = expPsScalar(SRow[Tt] - MaxS);
-    Sum += SRow[Tt];
-  }
-  float InvSum = 1.0f / Sum;
-  __m256 Acc[NV];
-  for (int V = 0; V < NV; ++V)
-    Acc[V] = _mm256_setzero_ps();
-  for (Tt = 0; Tt < T; ++Tt) {
-    const float *VRow = VRowOf(Tt) + Off;
-    __m256 W = _mm256_set1_ps(SRow[Tt] * InvSum);
-    for (int V = 0; V < NV; ++V)
-      Acc[V] = _mm256_fmadd_ps(W, _mm256_loadu_ps(VRow + V * 8), Acc[V]);
-  }
-  for (int V = 0; V < NV; ++V)
-    _mm256_storeu_ps(Oh + V * 8, Acc[V]);
-}
-
-#endif // SLADE_SIMD_EXP
 
 /// Softmax-attention over cached K/V rows for one query row. Per-head
 /// passes with a fixed-width register accumulator for the value
@@ -567,37 +511,13 @@ inline void attendCached(const float *QRow, float *ORow, int T, int H,
   }
 }
 
-/// Runtime-Dh dispatcher: common head widths get the fixed-width kernel.
+/// Runtime-Dh dispatcher for the portable kernel: common head widths get
+/// the fixed-width version.
 template <typename RowOfK, typename RowOfV>
 inline void attendCachedDyn(const float *QRow, float *ORow, int T, int H,
                             int Dh, float InvS, float *Scores,
                             int ScoreStride, const RowOfK &KRowOf,
                             const RowOfV &VRowOf) {
-#ifdef SLADE_SIMD_EXP
-  if (Dh % 8 == 0 && Dh <= 32) {
-    for (int Hd = 0; Hd < H; ++Hd) {
-      int Off = Hd * Dh;
-      const float *Qh = QRow + Off;
-      float *Oh = ORow + Off;
-      float *SRow = Scores + static_cast<size_t>(Hd) * ScoreStride;
-      switch (Dh / 8) {
-      case 1:
-        attendHeadAVX<1>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      case 2:
-        attendHeadAVX<2>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      case 3:
-        attendHeadAVX<3>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      default:
-        attendHeadAVX<4>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      }
-    }
-    return;
-  }
-#endif
   switch (Dh) {
   case 8:
     attendCached<8>(QRow, ORow, T, H, InvS, Scores, ScoreStride, KRowOf,
@@ -644,6 +564,183 @@ inline void attendCachedDyn(const float *QRow, float *ORow, int T, int H,
   }
 }
 
+/// Accumulator-register budget of the grouped AVX2 kernel's value pass:
+/// a chunk of AccRegs / NV rows keeps NV accumulators per row live (5
+/// rows at Dh = 16). The score scratch holds one chunk, so at most
+/// AccRegs rows.
+constexpr int AccRegs = 10;
+
+#ifdef SLADE_SIMD_EXP
+
+/// exp + normalize of one row's scores in place; returns 1/sum.
+inline float softmaxScoresAVX(float *SRow, int T, float MaxS) {
+  __m256 MaxV = _mm256_set1_ps(MaxS);
+  __m256 SumV = _mm256_setzero_ps();
+  int Tt = 0;
+  for (; Tt + 8 <= T; Tt += 8) {
+    __m256 E = exp256Ps(_mm256_sub_ps(_mm256_loadu_ps(SRow + Tt), MaxV));
+    _mm256_storeu_ps(SRow + Tt, E);
+    SumV = _mm256_add_ps(SumV, E);
+  }
+  float Sum = hsum256(SumV);
+  for (; Tt < T; ++Tt) {
+    SRow[Tt] = expPsScalar(SRow[Tt] - MaxS);
+    Sum += SRow[Tt];
+  }
+  return 1.0f / Sum;
+}
+
+/// The value pass of NR rows over one head slice: every row's NV
+/// accumulators stay in registers, so each V row is loaded once for all
+/// NR rows and their FMA chains overlap. Row R still accumulates the
+/// keys in order 0..T-1, exactly as it would alone.
+template <int NV, int NR, typename RowOfV>
+inline void valuePassAVX(float *O, size_t OStride, int T, int Off,
+                         const float *Scores, int ScoreStride,
+                         const float *InvSum, const RowOfV &VRowOf) {
+  __m256 Acc[NR][NV];
+  for (int R = 0; R < NR; ++R)
+    for (int V = 0; V < NV; ++V)
+      Acc[R][V] = _mm256_setzero_ps();
+  for (int Tt = 0; Tt < T; ++Tt) {
+    const float *VRow = VRowOf(Tt) + Off;
+    __m256 Vv[NV];
+    for (int V = 0; V < NV; ++V)
+      Vv[V] = _mm256_loadu_ps(VRow + V * 8);
+    for (int R = 0; R < NR; ++R) {
+      __m256 W = _mm256_set1_ps(
+          Scores[static_cast<size_t>(R) * ScoreStride + Tt] * InvSum[R]);
+      for (int V = 0; V < NV; ++V)
+        Acc[R][V] = _mm256_fmadd_ps(W, Vv[V], Acc[R][V]);
+    }
+  }
+  for (int R = 0; R < NR; ++R)
+    for (int V = 0; V < NV; ++V)
+      _mm256_storeu_ps(O + R * OStride + Off + V * 8, Acc[R][V]);
+}
+
+/// Maps a chunk's runtime row count onto its unrolled value pass.
+template <int NV, int NR, typename RowOfV>
+inline void valuePassRows(int Rows, float *O, size_t OStride, int T, int Off,
+                          const float *Scores, int ScoreStride,
+                          const float *InvSum, const RowOfV &VRowOf) {
+  if constexpr (NR > 1)
+    if (Rows < NR)
+      return valuePassRows<NV, NR - 1>(Rows, O, OStride, T, Off, Scores,
+                                       ScoreStride, InvSum, VRowOf);
+  valuePassAVX<NV, NR>(O, OStride, T, Off, Scores, ScoreStride, InvSum,
+                       VRowOf);
+}
+
+/// Softmax attention of NRows query rows over ONE shared K/V sequence,
+/// head width NV*8: the beams of one source over its encoder cache, or a
+/// single row over its self-cache slots. Per head and per register chunk
+/// of rows:
+///   1. scores 8 keys at a time, hsum8x256 reducing the eight dot
+///      products in one add tree (lane for lane hsum256's); the T % 8
+///      tail keys take hsum256 itself;
+///   2. exp + normalize per row;
+///   3. the grouped value pass (valuePassAVX).
+/// Every row sees the same products, FMA order and add tree as when it
+/// attends alone, so its output does not depend on the grouping.
+template <int NV, typename RowOfK, typename RowOfV>
+void attendGroupAVX(const float *Q, size_t QStride, float *O, size_t OStride,
+                    int NRows, int T, int H, float InvS, float *Scores,
+                    int ScoreStride, const RowOfK &KRowOf,
+                    const RowOfV &VRowOf) {
+  constexpr int Chunk = AccRegs / NV;
+  const __m256 InvSV = _mm256_set1_ps(InvS);
+  for (int Hd = 0; Hd < H; ++Hd) {
+    const int Off = Hd * NV * 8;
+    for (int R0 = 0; R0 < NRows; R0 += Chunk) {
+      const int NR = std::min(Chunk, NRows - R0);
+      const float *QC = Q + R0 * QStride + Off;
+      __m256 MaxV[Chunk];
+      for (int R = 0; R < NR; ++R)
+        MaxV[R] = _mm256_set1_ps(-1e30f);
+      int Tt = 0;
+      for (; Tt + 8 <= T; Tt += 8) {
+        const float *KRow[8];
+        for (int J = 0; J < 8; ++J)
+          KRow[J] = KRowOf(Tt + J) + Off;
+        for (int R = 0; R < NR; ++R) {
+          const float *Qh = QC + R * QStride;
+          __m256 Acc[8];
+          __m256 Qv = _mm256_loadu_ps(Qh);
+          for (int J = 0; J < 8; ++J)
+            Acc[J] = _mm256_mul_ps(Qv, _mm256_loadu_ps(KRow[J]));
+          for (int V = 1; V < NV; ++V) {
+            Qv = _mm256_loadu_ps(Qh + V * 8);
+            for (int J = 0; J < 8; ++J)
+              Acc[J] = _mm256_fmadd_ps(Qv, _mm256_loadu_ps(KRow[J] + V * 8),
+                                       Acc[J]);
+          }
+          __m256 Dot = _mm256_mul_ps(hsum8x256(Acc), InvSV);
+          _mm256_storeu_ps(Scores + static_cast<size_t>(R) * ScoreStride + Tt,
+                           Dot);
+          MaxV[R] = _mm256_max_ps(Dot, MaxV[R]); // A NaN Dot keeps Max.
+        }
+      }
+      float MaxS[Chunk], InvSum[Chunk];
+      for (int R = 0; R < NR; ++R)
+        MaxS[R] = hmax256(MaxV[R]);
+      for (int Tail = Tt; Tail < T; ++Tail) {
+        const float *KRow = KRowOf(Tail) + Off;
+        for (int R = 0; R < NR; ++R) {
+          const float *Qh = QC + R * QStride;
+          __m256 Acc =
+              _mm256_mul_ps(_mm256_loadu_ps(Qh), _mm256_loadu_ps(KRow));
+          for (int V = 1; V < NV; ++V)
+            Acc = _mm256_fmadd_ps(_mm256_loadu_ps(Qh + V * 8),
+                                  _mm256_loadu_ps(KRow + V * 8), Acc);
+          float Dot = hsum256(Acc) * InvS;
+          Scores[static_cast<size_t>(R) * ScoreStride + Tail] = Dot;
+          MaxS[R] = std::max(MaxS[R], Dot);
+        }
+      }
+      for (int R = 0; R < NR; ++R)
+        InvSum[R] = softmaxScoresAVX(
+            Scores + static_cast<size_t>(R) * ScoreStride, T, MaxS[R]);
+      valuePassRows<NV, Chunk>(NR, O + R0 * OStride, OStride, T, Off, Scores,
+                               ScoreStride, InvSum, VRowOf);
+    }
+  }
+}
+
+#endif // SLADE_SIMD_EXP
+
+/// Softmax attention of NRows query rows (row R at Q + R*QStride, output
+/// at O + R*OStride) over one shared K/V sequence of T cached rows. The
+/// AVX2 build runs every head width Dh % 8 == 0, Dh <= 32 through the
+/// grouped kernel; other widths and builds attend row by row.
+template <typename RowOfK, typename RowOfV>
+inline void attendRows(const float *Q, size_t QStride, float *O,
+                       size_t OStride, int NRows, int T, int H, int Dh,
+                       float InvS, float *Scores, int ScoreStride,
+                       const RowOfK &KRowOf, const RowOfV &VRowOf) {
+#ifdef SLADE_SIMD_EXP
+  switch (Dh) {
+  case 8:
+    return attendGroupAVX<1>(Q, QStride, O, OStride, NRows, T, H, InvS,
+                             Scores, ScoreStride, KRowOf, VRowOf);
+  case 16:
+    return attendGroupAVX<2>(Q, QStride, O, OStride, NRows, T, H, InvS,
+                             Scores, ScoreStride, KRowOf, VRowOf);
+  case 24:
+    return attendGroupAVX<3>(Q, QStride, O, OStride, NRows, T, H, InvS,
+                             Scores, ScoreStride, KRowOf, VRowOf);
+  case 32:
+    return attendGroupAVX<4>(Q, QStride, O, OStride, NRows, T, H, InvS,
+                             Scores, ScoreStride, KRowOf, VRowOf);
+  default:
+    break;
+  }
+#endif
+  for (int R = 0; R < NRows; ++R)
+    attendCachedDyn(Q + R * QStride, O + R * OStride, T, H, Dh, InvS, Scores,
+                    ScoreStride, KRowOf, VRowOf);
+}
+
 } // namespace
 
 std::vector<float>
@@ -670,7 +767,8 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   Grow(St.FF1, static_cast<size_t>(N) * Cfg.FF);
 
   int ScoreStride = std::max(St.Cap, St.MaxTSrc);
-  Grow(St.Scores, static_cast<size_t>(H) * ScoreStride);
+  // One score row per head (per-row kernel) or per chunk row (grouped).
+  Grow(St.Scores, static_cast<size_t>(std::max(H, AccRegs)) * ScoreStride);
 
   float *X = St.X.data(), *Norm = St.Norm.data(), *QKV = St.QKV.data(),
         *AttnOut = St.AttnOut.data(), *Proj = St.Proj.data(),
@@ -725,10 +823,10 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       const float *VBase =
           St.SelfV[L].data() + static_cast<size_t>(Row.Seg) * SegStride;
       const uint16_t *Sl = Row.Slots;
-      attendCachedDyn(
-          QKV + static_cast<size_t>(R) * 3 * D,
-          AttnOut + static_cast<size_t>(R) * D, TCtx, H, Dh, InvS, Scores,
-          ScoreStride,
+      attendRows(
+          QKV + static_cast<size_t>(R) * 3 * D, 3 * static_cast<size_t>(D),
+          AttnOut + static_cast<size_t>(R) * D, static_cast<size_t>(D), 1,
+          TCtx, H, Dh, InvS, Scores, ScoreStride,
           [&](int Tt) {
             return KBase + static_cast<size_t>(Tt) * TimeStride +
                    static_cast<size_t>(Sl[Tt]) * D;
@@ -746,9 +844,10 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
 
-    // Cross attention: the K/V caches are shared by every beam of one
-    // source; each row attends over its OWN source's cache (rows of
-    // different sources may share the batch).
+    // Cross attention: each row attends over its OWN source's cache
+    // (rows of different sources may share the batch). Each maximal run
+    // of contiguous rows sharing one cache (the beams of one source)
+    // attends as one group, which loads the cache once for all of them.
     for (int R = 0; R < N; ++R)
       layerNormRow(X + static_cast<size_t>(R) * D, D,
                    Lay.LN2.Gamma.V.data(), Lay.LN2.Beta.V.data(),
@@ -758,15 +857,19 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
                    St.ActQ);
     else
       linearRows(Norm, N, Consts.CrossWqP[L], Lay.Cross.Bq.V.data(), QKV);
-    for (int R = 0; R < N; ++R) {
-      const Transformer::EncoderCache &Enc = *Rows[static_cast<size_t>(R)].Enc;
-      const float *CK = Enc.CrossK[L].data(), *CV = Enc.CrossV[L].data();
-      attendCachedDyn(
-          QKV + static_cast<size_t>(R) * D,
-          AttnOut + static_cast<size_t>(R) * D, Enc.TSrc, H, Dh, InvS, Scores,
-          ScoreStride,
+    for (int R0 = 0; R0 < N;) {
+      const Transformer::EncoderCache *Enc = Rows[static_cast<size_t>(R0)].Enc;
+      int R1 = R0 + 1;
+      while (R1 < N && Rows[static_cast<size_t>(R1)].Enc == Enc)
+        ++R1;
+      const float *CK = Enc->CrossK[L].data(), *CV = Enc->CrossV[L].data();
+      attendRows(
+          QKV + static_cast<size_t>(R0) * D, static_cast<size_t>(D),
+          AttnOut + static_cast<size_t>(R0) * D, static_cast<size_t>(D),
+          R1 - R0, Enc->TSrc, H, Dh, InvS, Scores, ScoreStride,
           [&](int Tt) { return CK + static_cast<size_t>(Tt) * D; },
           [&](int Tt) { return CV + static_cast<size_t>(Tt) * D; });
+      R0 = R1;
     }
     if (I8)
       linearRowsI8(AttnOut, N, Consts.CrossWoQ[L], Lay.Cross.Bo.V.data(),

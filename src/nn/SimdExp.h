@@ -90,6 +90,24 @@ inline float hsum256(__m256 V) {
   return _mm_cvtss_f32(S);
 }
 
+/// Eight horizontal sums at once: lane J of the result is hsum256(A[J]),
+/// bit for bit. Each level is hsum256's add with the same operands,
+/// applied to all eight inputs in one register: lo+hi, then lanes 0+2 and
+/// 1+3, then 0+1. Inputs J and J+4 share a register in the first level
+/// so the sums come out in natural order.
+inline __m256 hsum8x256(const __m256 A[8]) {
+  __m256 B[4];
+  for (int J = 0; J < 4; ++J)
+    B[J] = _mm256_add_ps(_mm256_permute2f128_ps(A[J], A[J + 4], 0x20),
+                         _mm256_permute2f128_ps(A[J], A[J + 4], 0x31));
+  __m256 C01 = _mm256_add_ps(_mm256_shuffle_ps(B[0], B[1], 0x44),
+                             _mm256_shuffle_ps(B[0], B[1], 0xEE));
+  __m256 C23 = _mm256_add_ps(_mm256_shuffle_ps(B[2], B[3], 0x44),
+                             _mm256_shuffle_ps(B[2], B[3], 0xEE));
+  return _mm256_add_ps(_mm256_shuffle_ps(C01, C23, 0x88),
+                       _mm256_shuffle_ps(C01, C23, 0xDD));
+}
+
 inline float hmax256(__m256 V) {
   __m128 S = _mm_max_ps(_mm256_castps256_ps128(V),
                         _mm256_extractf128_ps(V, 1));

@@ -12,6 +12,7 @@
 #include "nn/EncoderLRU.h"
 #include "nn/InferRuntime.h"
 #include "nn/Mat.h"
+#include "nn/SimdExp.h"
 #include "nn/Transformer.h"
 #include "support/RNG.h"
 
@@ -903,6 +904,90 @@ TEST(Transformer, StreamingAdmitRefusesMixedWeightVersions) {
   EXPECT_EQ(L.size(),
             static_cast<size_t>(Model.config().Vocab));
 }
+
+TEST(Transformer, GroupedCrossAttentionMatchesSoloBeamBitExact) {
+  // Cross-attention runs the contiguous beams of one source as one group
+  // (register chunks of 10 / (Dh / 8) rows). Grouping changes only the
+  // schedule, so every row's logits must be memcmp-equal to the same
+  // history decoded alone in a beam-1 state. Head widths 8, 16 and 32;
+  // K in {1, 3, 5, 7} beams per source (at Dh 16, K = 7 splits a source
+  // across two chunks). Three sources share the batch: 21 tokens (two
+  // 8-key blocks and a tail), 5 (tail only) and 16 (blocks only).
+  for (int Dh : {8, 16, 32}) {
+    TransformerConfig Cfg = tinyConfig();
+    Cfg.DModel = Cfg.NHeads * Dh;
+    Transformer Model(Cfg);
+    const int V = Cfg.Vocab, Steps = 11;
+    std::vector<std::shared_ptr<const Transformer::EncoderCache>> Encs;
+    for (int Len : {21, 5, 16}) {
+      std::vector<int> Src;
+      for (int I = 0; I < Len; ++I)
+        Src.push_back(3 + (I * 7 + Len) % (V - 3));
+      Encs.push_back(Model.encodeSource(Src));
+    }
+    const int S = static_cast<int>(Encs.size());
+    for (int K : {1, 3, 5, 7}) {
+      Transformer::BatchDecodeState St =
+          Model.startDecodeStream(S, K, Steps + 1);
+      std::vector<int> RowSrc;
+      for (int Sx = 0; Sx < S; ++Sx) {
+        Model.admitStreamRow(St, Sx, Encs[static_cast<size_t>(Sx)]);
+        RowSrc.insert(RowSrc.end(), static_cast<size_t>(K), Sx);
+      }
+      Model.stepDecodeBatch(St, std::vector<int>(static_cast<size_t>(S),
+                                                 Transformer::BosId));
+      Model.reorderBeams(St, RowSrc);
+      std::vector<Transformer::BatchDecodeState> Solo;
+      for (int Sx : RowSrc) {
+        Solo.push_back(Model.startDecodeBatch(
+            Encs[static_cast<size_t>(Sx)], 1, Steps + 1));
+        Model.stepDecodeBatch(Solo.back(), {Transformer::BosId});
+      }
+      for (int Step = 1; Step < Steps; ++Step) {
+        std::vector<int> Tokens;
+        for (size_t R = 0; R < RowSrc.size(); ++R)
+          Tokens.push_back(3 + static_cast<int>(R * 5 + Step * 3) % (V - 3));
+        std::vector<float> L = Model.stepDecodeBatch(St, Tokens);
+        for (size_t R = 0; R < RowSrc.size(); ++R) {
+          std::vector<float> Want =
+              Model.stepDecodeBatch(Solo[R], {Tokens[R]});
+          ASSERT_EQ(0, std::memcmp(Want.data(), L.data() + R * V,
+                                   static_cast<size_t>(V) * sizeof(float)))
+              << "Dh " << Dh << " K " << K << " row " << R << " step "
+              << Step;
+        }
+      }
+    }
+  }
+}
+
+#ifdef SLADE_SIMD_EXP
+TEST(SimdExp, Hsum8MatchesHsum256LaneForLane) {
+  // The grouped attention kernel reduces eight keys' dot products with
+  // one hsum8x256 where each key used to take its own hsum256. Lane J
+  // must equal hsum256(A[J]) bit for bit: with inputs spanning 40
+  // binades, any other add tree rounds some sum differently.
+  SplitMix64 Rng(8);
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    alignas(32) float In[8][8];
+    for (auto &Row : In)
+      for (float &X : Row)
+        X = static_cast<float>(Rng.normal()) *
+            std::ldexp(1.0f, static_cast<int>(Rng.below(40)) - 20);
+    __m256 A[8];
+    for (int J = 0; J < 8; ++J)
+      A[J] = _mm256_load_ps(In[J]);
+    alignas(32) float Got[8];
+    _mm256_store_ps(Got, hsum8x256(A));
+    for (int J = 0; J < 8; ++J) {
+      float Want = hsum256(A[J]);
+      ASSERT_EQ(0, std::memcmp(&Want, &Got[J], sizeof(float)))
+          << "trial " << Trial << " lane " << J << ": " << Want << " vs "
+          << Got[J];
+    }
+  }
+}
+#endif
 
 TEST(EncoderLRU, HitsShareOneCacheAndEvictionKeepsResultsIdentical) {
   Transformer Model(tinyConfig());

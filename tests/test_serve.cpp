@@ -20,8 +20,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -694,8 +697,31 @@ TEST(Engine, ShardBackfillAfterMassRetirement) {
   // placement fills both shards, later sources wait in the global
   // queue, and every retirement backfills the freed shard. Both shards
   // must end up having decoded sources.
+  //
+  // Where the dispatcher places a request depends on how far the shards
+  // got, so the test holds one fact fixed instead of relying on timing.
+  // The first request's callback runs on its shard's thread, and that
+  // shard decoded nothing before it (FIFO dispatch, one source per
+  // shard). The callback holds the shard until another request has
+  // completed, and only the other shard can complete one meanwhile.
   ServeFixture F(6);
   ASSERT_GE(F.Tasks.size(), 4u);
+
+  std::mutex GateMu;
+  std::condition_variable GateCv;
+  bool OtherDone = false, GateTimedOut = false;
+  auto HoldShard = [&](const serve::RequestResult &) {
+    std::unique_lock<std::mutex> Lock(GateMu);
+    GateTimedOut = !GateCv.wait_for(Lock, std::chrono::seconds(60),
+                                    [&] { return OtherDone; });
+  };
+  auto ReleaseShard = [&](const serve::RequestResult &) {
+    {
+      std::lock_guard<std::mutex> Lock(GateMu);
+      OtherDone = true;
+    }
+    GateCv.notify_all();
+  };
 
   serve::EngineOptions EO;
   EO.BeamSize = 2;
@@ -706,8 +732,13 @@ TEST(Engine, ShardBackfillAfterMassRetirement) {
   serve::Engine Eng(*F.Slade, EO);
 
   std::vector<serve::Handle> Futs;
-  for (const core::EvalTask &T : F.Tasks)
-    Futs.push_back(Eng.submit({T.Name, T.Prog.TargetAsm, {}, {}, nullptr}));
+  for (const core::EvalTask &T : F.Tasks) {
+    serve::DecompileRequest Req{T.Name, T.Prog.TargetAsm, {}, {}, nullptr};
+    if (Futs.empty())
+      Futs.push_back(Eng.submit(std::move(Req), HoldShard));
+    else
+      Futs.push_back(Eng.submit(std::move(Req), ReleaseShard));
+  }
   for (size_t I = 0; I < Futs.size(); ++I)
     EXPECT_EQ(Futs[I].get().CSource,
               F.Slade->translate(F.Tasks[I].Prog.TargetAsm, EO.BeamSize,
@@ -719,6 +750,8 @@ TEST(Engine, ShardBackfillAfterMassRetirement) {
   EXPECT_GE(M.Shards[1].Sources, 1u) << "shard 1 must get backfilled work";
   EXPECT_EQ(M.Shards[0].Sources + M.Shards[1].Sources, F.Tasks.size());
   EXPECT_LE(M.PeakLiveSources, 2u) << "1 row per shard, 2 shards";
+  EXPECT_FALSE(GateTimedOut)
+      << "no other request completed while the first one's shard was held";
 }
 
 TEST(Engine, StopDrainsNonEmptyShardsAndQueue) {
