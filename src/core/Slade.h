@@ -13,9 +13,8 @@
 
 #include "core/Compile.h"
 #include "nn/Beam.h"
-#include "nn/DecodeLRU.h"
 #include "nn/DraftModel.h"
-#include "nn/EncoderLRU.h"
+#include "nn/SourceLRU.h"
 #include "nn/Transformer.h"
 #include "support/ThreadPool.h"
 #include "tok/Tokenizer.h"
@@ -116,14 +115,16 @@ HypothesisOutcome evaluateHypothesisBounded(const EvalTask &Task,
 /// The trained SLaDe system: tokenizer + model + the inference pipeline.
 class Decompiler {
 public:
-  /// \p EncoderCacheCap bounds the LRU of per-source encoder outputs
-  /// shared by every request through this decompiler (entry count);
-  /// \p EncoderCacheBytes additionally caps its heap bytes (0 = count
-  /// bound only). \p DecodeCacheCap / \p DecodeCacheBytes bound the
-  /// decoded-hypotheses LRU the streaming engine consults the same way.
+  /// Entry-count bounds of the two per-source caches.
+  static constexpr size_t EncoderCacheCap = 64;
+  static constexpr size_t DecodeCacheCap = 256;
+
+  /// \p EncoderCacheBytes caps the heap bytes of the LRU of per-source
+  /// encoder outputs shared by every request through this decompiler;
+  /// \p DecodeCacheBytes caps the decoded-hypotheses LRU the streaming
+  /// engine consults. 0 = only the entry-count bound applies.
   Decompiler(tok::Tokenizer Tok, nn::Transformer Model,
-             size_t EncoderCacheCap = 64, size_t EncoderCacheBytes = 0,
-             size_t DecodeCacheCap = 256, size_t DecodeCacheBytes = 0)
+             size_t EncoderCacheBytes = 0, size_t DecodeCacheBytes = 0)
       : Tok(std::move(Tok)), Model(std::move(Model)),
         EncCache(EncoderCacheCap, EncoderCacheBytes),
         DecCache(DecodeCacheCap, DecodeCacheBytes) {}
@@ -177,7 +178,8 @@ public:
   /// and by the serve scheduler's batched decode.
   std::shared_ptr<const nn::Transformer::EncoderCache>
   encodeCached(const std::vector<int> &Src) const {
-    return EncCache.get(Model, Src);
+    return EncCache.getOrCompute(Src, Model.weightVersion(),
+                                 [&] { return Model.encodeSource(Src); });
   }
 
   /// Attaches a distilled draft decoder (nn/DraftModel.h) for

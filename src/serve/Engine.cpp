@@ -777,6 +777,7 @@ void Engine::dispatchLoop() {
   // the same source can never be served from each other's entries.
   if (Opts.Constrain == nn::ConstrainMode::Syntax)
     BC.Constraint = &D.vocabConstraint();
+  const nn::DecodeTag Tag = nn::DecodeTag::of(BC);
 
   Admission A;
   while (Queue.pop(&A)) {
@@ -821,7 +822,7 @@ void Engine::dispatchLoop() {
     // Requests without tokens (pre-encoded only) never match.
     if (Opts.UseDecodeCache && !Src.empty()) {
       if (std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps =
-              D.decodeCache().get(Src, Model.weightVersion(), BC)) {
+              D.decodeCache().find(Src, Model.weightVersion(), Tag)) {
         {
           std::lock_guard<std::mutex> Lock(MetricsMu);
           ++DecodeCacheHits;
@@ -932,6 +933,7 @@ void Engine::shardLoop(Shard &S) {
     BC.Constraint = &D.vocabConstraint();
     BC.Stats = &OracleStats;
   }
+  const nn::DecodeTag Tag = nn::DecodeTag::of(BC);
   const int BeamsPerSource = std::max(1, Opts.BeamSize);
 
   nn::Transformer::BatchDecodeState St = Model.startDecodeStream(
@@ -994,7 +996,8 @@ void Engine::shardLoop(Shard &S) {
             nn::beamcore::finalizeBeams(std::move(J.Live),
                                         std::move(J.Done), BC, &J.CC));
     if (Opts.UseDecodeCache && !J.Src.empty())
-      D.decodeCache().put(J.Src, J.ConstsVersion, BC, Hyps);
+      D.decodeCache().insert(J.Src, J.ConstsVersion, Tag, Hyps,
+                             nn::hypothesesBytes(*Hyps));
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
@@ -1173,7 +1176,7 @@ void Engine::shardLoop(Shard &S) {
         // entry drops, so this is the common race outcome)...
         if (Opts.UseDecodeCache) {
           if (std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps =
-                  D.decodeCache().get(M.Src, Model.weightVersion(), BC)) {
+                  D.decodeCache().find(M.Src, Model.weightVersion(), Tag)) {
             {
               std::lock_guard<std::mutex> Lock(MetricsMu);
               ++DecodeCacheHits;

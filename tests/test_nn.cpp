@@ -8,21 +8,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "nn/Beam.h"
-#include "nn/DecodeLRU.h"
-#include "nn/EncoderLRU.h"
 #include "nn/InferRuntime.h"
 #include "nn/Mat.h"
 #include "nn/SimdExp.h"
+#include "nn/SourceLRU.h"
 #include "nn/Transformer.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 
 using namespace slade;
 using namespace slade::nn;
@@ -989,111 +990,16 @@ TEST(SimdExp, Hsum8MatchesHsum256LaneForLane) {
 }
 #endif
 
-TEST(EncoderLRU, HitsShareOneCacheAndEvictionKeepsResultsIdentical) {
-  Transformer Model(tinyConfig());
-  EncoderLRU Cache(/*Capacity=*/2);
-  std::vector<int> A = {4, 5, 6}, B = {7, 8}, C = {9, 10, 11};
+// -- source-keyed LRU (encoder outputs and decoded hypotheses) ---------------
 
-  auto EA = Cache.get(Model, A);
-  EXPECT_EQ(Cache.get(Model, A).get(), EA.get()) << "hit shares the object";
-  EXPECT_EQ(Cache.stats().Hits, 1u);
-  EXPECT_EQ(Cache.stats().Misses, 1u);
-
-  // Fill past capacity: A becomes the LRU victim.
-  Cache.get(Model, B);
-  Cache.get(Model, C);
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_GE(Cache.stats().Evictions, 1u);
-
-  // Re-encoding the evicted source must give identical results.
-  BeamConfig BC;
-  BC.BeamSize = 3;
-  BC.MaxLen = 10;
-  auto FromCache = beamSearch(Model, Cache.get(Model, A), BC);
-  auto Fresh = beamSearch(Model, A, BC);
-  ASSERT_EQ(FromCache.size(), Fresh.size());
-  for (size_t I = 0; I < Fresh.size(); ++I) {
-    EXPECT_EQ(FromCache[I].Tokens, Fresh[I].Tokens);
-    EXPECT_EQ(FromCache[I].Score, Fresh[I].Score);
-  }
+/// Encodes \p Src through \p Cache the way core::Decompiler::encodeCached
+/// does.
+std::shared_ptr<const Transformer::EncoderCache>
+encodeVia(EncoderLRU &Cache, const Transformer &Model,
+          const std::vector<int> &Src) {
+  return Cache.getOrCompute(Src, Model.weightVersion(),
+                            [&] { return Model.encodeSource(Src); });
 }
-
-TEST(EncoderLRU, ByteBudgetEvictsAndAccountsPrecisely) {
-  Transformer Model(tinyConfig());
-  auto srcOf = [](int Seed) {
-    std::vector<int> Src;
-    for (int I = 0; I < 8; ++I)
-      Src.push_back(3 + (Seed * 13 + I) % 30);
-    return Src;
-  };
-  // Size one entry, then budget the cache at two entries' worth.
-  size_t One = Model.encodeSource(srcOf(0))->bytes() +
-               srcOf(0).capacity() * sizeof(int);
-  EncoderLRU Cache(/*Capacity=*/64, /*ByteBudget=*/2 * One + One / 2);
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-
-  for (int S = 0; S < 5; ++S)
-    Cache.get(Model, srcOf(S));
-  EXPECT_GE(Cache.stats().Evictions, 3u) << "budget must evict";
-  EXPECT_LE(Cache.bytesUsed(), Cache.byteBudget());
-  EXPECT_EQ(Cache.size(), 2u) << "two same-sized entries fit the budget";
-
-  // Accounting must track eviction exactly: bytesUsed is the sum over
-  // the live entries, and clear() returns to zero.
-  size_t Live = Cache.bytesUsed();
-  EXPECT_GT(Live, 0u);
-  // An evicted source re-encodes and yields identical decode results.
-  BeamConfig BC;
-  BC.BeamSize = 2;
-  BC.MaxLen = 8;
-  auto FromCache = beamSearch(Model, Cache.get(Model, srcOf(0)), BC);
-  auto Fresh = beamSearch(Model, srcOf(0), BC);
-  ASSERT_EQ(FromCache.size(), Fresh.size());
-  for (size_t I = 0; I < Fresh.size(); ++I) {
-    EXPECT_EQ(FromCache[I].Tokens, Fresh[I].Tokens);
-    EXPECT_EQ(FromCache[I].Score, Fresh[I].Score);
-  }
-  Cache.clear();
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-}
-
-TEST(EncoderLRU, OversizedSingleEntrySurvivesBudget) {
-  // One source bigger than the whole budget: the fresh entry is kept (a
-  // degenerate cache of one) instead of thrashing to an empty cache.
-  Transformer Model(tinyConfig());
-  std::vector<int> Src = {4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
-  EncoderLRU Cache(/*Capacity=*/8, /*ByteBudget=*/1);
-  auto First = Cache.get(Model, Src);
-  EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.get(Model, Src).get(), First.get())
-      << "the oversized entry still serves hits";
-}
-
-TEST(EncoderLRU, StatsTrackColdEncodeSeconds) {
-  Transformer Model(tinyConfig());
-  EncoderLRU Cache(8);
-  std::vector<int> Src = {4, 5, 6, 7};
-  Cache.get(Model, Src);
-  EncoderLRU::Stats St = Cache.stats();
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_GT(St.MissSeconds, 0.0) << "miss wall time must accumulate";
-  double AfterMiss = St.MissSeconds;
-  Cache.get(Model, Src); // Hit: no encode, no time accrued.
-  EXPECT_EQ(Cache.stats().MissSeconds, AfterMiss);
-}
-
-TEST(EncoderLRU, WeightVersionChangeMisses) {
-  Transformer Model(tinyConfig());
-  EncoderLRU Cache(8);
-  std::vector<int> Src = {4, 5, 6};
-  auto Before = Cache.get(Model, Src);
-  Model.bumpWeightVersion();
-  auto After = Cache.get(Model, Src);
-  EXPECT_NE(Before.get(), After.get()) << "stale entry must not match";
-  EXPECT_EQ(Cache.stats().Misses, 2u);
-}
-
-// -- decoded-hypotheses LRU ---------------------------------------------------
 
 std::shared_ptr<const std::vector<Hypothesis>>
 hypsOf(std::initializer_list<int> Tokens) {
@@ -1103,134 +1009,253 @@ hypsOf(std::initializer_list<int> Tokens) {
   return H;
 }
 
-TEST(DecodeLRU, KeyedBySourceVersionAndBeamConfig) {
+/// Inserts a finished decode the way the serve engine does at retirement.
+std::shared_ptr<const std::vector<Hypothesis>>
+putHyps(DecodeLRU &Cache, const std::vector<int> &Src, uint64_t Version,
+        const DecodeTag &T,
+        std::shared_ptr<const std::vector<Hypothesis>> Hyps) {
+  size_t Bytes = hypothesesBytes(*Hyps);
+  return Cache.insert(Src, Version, T, std::move(Hyps), Bytes);
+}
+
+TEST(SourceLRU, HitSharesOneObject) {
+  Transformer Model(tinyConfig());
+  EncoderLRU Enc(/*Capacity=*/8);
+  std::vector<int> Src = {4, 5, 6};
+  auto First = encodeVia(Enc, Model, Src);
+  EXPECT_EQ(encodeVia(Enc, Model, Src).get(), First.get());
+  EXPECT_EQ(Enc.stats().Hits, 1u);
+  EXPECT_EQ(Enc.stats().Misses, 1u);
+
+  DecodeLRU Dec(/*Capacity=*/8);
+  auto H = hypsOf({3, 4, 5});
+  EXPECT_EQ(putHyps(Dec, Src, 1, DecodeTag(), H).get(), H.get());
+  EXPECT_EQ(Dec.find(Src, 1).get(), H.get())
+      << "a hit returns the stored hypotheses, not a copy";
+  EXPECT_EQ(Dec.find(Src, 1).get(), H.get());
+}
+
+TEST(SourceLRU, CountBoundEvictsLeastRecentlyUsed) {
+  DecodeLRU Cache(/*Capacity=*/2);
+  putHyps(Cache, {1}, 1, DecodeTag(), hypsOf({10}));
+  putHyps(Cache, {2}, 1, DecodeTag(), hypsOf({20}));
+  EXPECT_NE(Cache.find({1}, 1), nullptr); // Touch: {2} becomes LRU.
+  putHyps(Cache, {3}, 1, DecodeTag(), hypsOf({30}));
+  EXPECT_EQ(Cache.size(), 2u);
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_EQ(Cache.find({2}, 1), nullptr) << "LRU victim";
+  EXPECT_NE(Cache.find({1}, 1), nullptr) << "touched entry survives";
+  EXPECT_NE(Cache.find({3}, 1), nullptr);
+}
+
+TEST(SourceLRU, ByteBudgetEvictsButKeepsNewest) {
+  // Entries of 1000 value bytes plus a 4-token key; the budget holds
+  // one and a half, so every insert evicts the previous entry but is
+  // itself kept.
+  const size_t One = 1000 + 4 * sizeof(int);
+  SourceLRU<int> Cache(/*Capacity=*/64, /*ByteBudget=*/One + One / 2);
+  for (int S = 0; S < 4; ++S)
+    Cache.insert({1, 2, 3, S}, 1, NoTag(), std::make_shared<int>(S), 1000);
+  EXPECT_EQ(Cache.size(), 1u) << "budget holds one same-sized entry";
+  EXPECT_EQ(Cache.stats().Evictions, 3u);
+  EXPECT_EQ(Cache.bytesUsed(), One);
+  auto Newest = Cache.find({1, 2, 3, 3}, 1);
+  ASSERT_NE(Newest, nullptr) << "the newest entry always survives";
+  EXPECT_EQ(*Newest, 3);
+
+  // One entry bigger than the whole budget is still kept (a degenerate
+  // cache of one) instead of thrashing to an empty cache.
+  Cache.insert({9}, 1, NoTag(), std::make_shared<int>(9), 1 << 20);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_NE(Cache.find({9}, 1), nullptr)
+      << "the oversized entry still serves hits";
+}
+
+TEST(SourceLRU, ByteAccountingIsExactAndClearResets) {
+  Transformer Model(tinyConfig());
+  auto srcOf = [](int Seed) {
+    std::vector<int> Src;
+    for (int I = 0; I < 8; ++I)
+      Src.push_back(3 + (Seed * 13 + I) % 30);
+    return Src;
+  };
+  // An encoder entry costs its EncoderCache bytes plus its key tokens;
+  // budget the cache at two and a half entries.
+  size_t One = Model.encodeSource(srcOf(0))->bytes() + 8 * sizeof(int);
+  EncoderLRU Enc(/*Capacity=*/64, /*ByteBudget=*/2 * One + One / 2);
+  EXPECT_EQ(Enc.bytesUsed(), 0u);
+  for (int S = 0; S < 5; ++S)
+    encodeVia(Enc, Model, srcOf(S));
+  EXPECT_EQ(Enc.stats().Evictions, 3u) << "budget must evict";
+  EXPECT_EQ(Enc.size(), 2u) << "two same-sized entries fit the budget";
+  EXPECT_EQ(Enc.bytesUsed(), 2 * One);
+  Enc.clear();
+  EXPECT_EQ(Enc.bytesUsed(), 0u);
+  EXPECT_EQ(Enc.size(), 0u);
+
+  // A decode entry costs its hypotheses' heap bytes plus its key tokens.
+  DecodeLRU Dec(/*Capacity=*/8);
+  auto Hyps = std::make_shared<std::vector<Hypothesis>>();
+  Hyps->push_back({{10, 11, 12}, -1.0f});
+  Hyps->push_back({{20, 21}, -2.0f});
+  putHyps(Dec, {1, 2}, 1, DecodeTag(), Hyps);
+  putHyps(Dec, {3}, 1, DecodeTag(), hypsOf({7}));
+  EXPECT_EQ(Dec.bytesUsed(), hypothesesBytes(*Hyps) + 2 * sizeof(int) +
+                                 hypothesesBytes(*hypsOf({7})) +
+                                 1 * sizeof(int));
+  Dec.clear();
+  EXPECT_EQ(Dec.bytesUsed(), 0u);
+}
+
+TEST(SourceLRU, EveryKeyPartMissesOnItsOwn) {
   DecodeLRU Cache(/*Capacity=*/8);
   BeamConfig BC;
   BC.BeamSize = 2;
   BC.MaxLen = 16;
-  auto H = hypsOf({3, 4, 5});
-  Cache.put({1, 2}, /*Version=*/7, BC, H);
-  auto Hit = Cache.get({1, 2}, 7, BC);
-  ASSERT_NE(Hit, nullptr);
-  ASSERT_EQ(Hit->size(), 1u);
-  EXPECT_EQ(Hit->front().Tokens, std::vector<int>({3, 4, 5}));
-  EXPECT_EQ(Hit->front().Score, -1.0f);
-  EXPECT_EQ(Cache.get({1, 2, 3}, 7, BC), nullptr) << "source keys";
-  EXPECT_EQ(Cache.get({1, 2}, 8, BC), nullptr) << "weight version keys";
-  BeamConfig Wider = BC;
-  Wider.BeamSize = 3;
-  EXPECT_EQ(Cache.get({1, 2}, 7, Wider), nullptr) << "beam width keys";
-  BeamConfig Longer = BC;
-  Longer.MaxLen = 32;
-  EXPECT_EQ(Cache.get({1, 2}, 7, Longer), nullptr) << "MaxLen keys";
-  BeamConfig Penalized = BC;
-  Penalized.LengthPenalty = 0.5f;
-  EXPECT_EQ(Cache.get({1, 2}, 7, Penalized), nullptr)
-      << "length penalty keys";
+  const DecodeTag Base = DecodeTag::of(BC);
+  EXPECT_EQ(Base.BeamSize, 2);
+  EXPECT_EQ(Base.MaxLen, 16);
+  EXPECT_EQ(Base.LengthPenalty, BC.LengthPenalty);
+  EXPECT_FALSE(Base.Constrained);
+  putHyps(Cache, {1, 2}, /*Version=*/7, Base, hypsOf({3, 4, 5}));
+  ASSERT_NE(Cache.find({1, 2}, 7, Base), nullptr);
+
+  EXPECT_EQ(Cache.find({1, 2, 3}, 7, Base), nullptr) << "source keys";
+  EXPECT_EQ(Cache.find({1, 2}, 8, Base), nullptr) << "weight version keys";
+  DecodeTag T = Base;
+  T.BeamSize = 3;
+  EXPECT_EQ(Cache.find({1, 2}, 7, T), nullptr) << "beam width keys";
+  T = Base;
+  T.MaxLen = 32;
+  EXPECT_EQ(Cache.find({1, 2}, 7, T), nullptr) << "MaxLen keys";
+  T = Base;
+  T.LengthPenalty = 0.5f;
+  EXPECT_EQ(Cache.find({1, 2}, 7, T), nullptr) << "length penalty keys";
+  T = Base;
+  T.Constrained = true;
+  EXPECT_EQ(Cache.find({1, 2}, 7, T), nullptr) << "constraint keys";
   DecodeLRU::Stats St = Cache.stats();
   EXPECT_EQ(St.Hits, 1u);
-  EXPECT_EQ(St.Misses, 5u);
+  EXPECT_EQ(St.Misses, 6u);
   EXPECT_EQ(St.Insertions, 1u);
-  // Re-inserting an existing key refreshes instead of duplicating.
-  Cache.put({1, 2}, 7, BC, hypsOf({9}));
+
+  // The encoder keys on the model's weight version the same way.
+  Transformer Model(tinyConfig());
+  EncoderLRU Enc(/*Capacity=*/8);
+  auto Before = encodeVia(Enc, Model, {4, 5, 6});
+  Model.bumpWeightVersion();
+  auto After = encodeVia(Enc, Model, {4, 5, 6});
+  EXPECT_NE(Before.get(), After.get()) << "stale entry must not match";
+  EXPECT_EQ(Enc.stats().Misses, 2u);
+}
+
+TEST(SourceLRU, ReinsertKeepsFirstEntry) {
+  DecodeLRU Cache(/*Capacity=*/8);
+  auto First = hypsOf({3, 4, 5});
+  putHyps(Cache, {1, 2}, 7, DecodeTag(), First);
+  // A racing shard finishing the same decode inserts a second copy;
+  // the first stays (identical by determinism) and is returned.
+  auto Kept = putHyps(Cache, {1, 2}, 7, DecodeTag(), hypsOf({9}));
+  EXPECT_EQ(Kept.get(), First.get());
   EXPECT_EQ(Cache.size(), 1u);
-  auto Kept = Cache.get({1, 2}, 7, BC);
-  ASSERT_NE(Kept, nullptr);
-  EXPECT_EQ(Kept->front().Tokens, std::vector<int>({3, 4, 5}))
-      << "the original entry is kept (identical by determinism)";
-}
-
-TEST(DecodeLRU, PrefixDeltaCompressionRoundTrips) {
-  DecodeLRU Cache(/*Capacity=*/8);
-  BeamConfig BC;
-  BC.BeamSize = 4;
-  // Four hypotheses forking from one 96-token prefix near the end —
-  // the shape a real beam retires with.
-  auto Hyps = std::make_shared<std::vector<Hypothesis>>();
-  std::vector<int> Prefix(96);
-  for (size_t I = 0; I < Prefix.size(); ++I)
-    Prefix[I] = static_cast<int>(3 + I % 40);
-  for (int K = 0; K < 4; ++K) {
-    Hypothesis H;
-    H.Tokens = Prefix;
-    if (K > 0) { // Top-1 keeps the bare prefix; others diverge.
-      H.Tokens.resize(Prefix.size() - static_cast<size_t>(K));
-      for (int S = 0; S <= K; ++S)
-        H.Tokens.push_back(100 + 10 * K + S);
-    }
-    H.Score = -0.5f * static_cast<float>(K);
-    Hyps->push_back(std::move(H));
-  }
-  size_t RawTokenBytes = 0;
-  for (const Hypothesis &H : *Hyps)
-    RawTokenBytes += H.Tokens.size() * sizeof(int);
-  Cache.put({1, 2, 3}, 1, BC, Hyps);
-  auto Hit = Cache.get({1, 2, 3}, 1, BC);
+  EXPECT_EQ(Cache.stats().Insertions, 1u);
+  auto Hit = Cache.find({1, 2}, 7);
   ASSERT_NE(Hit, nullptr);
-  ASSERT_EQ(Hit->size(), Hyps->size());
-  for (size_t I = 0; I < Hyps->size(); ++I) {
-    EXPECT_EQ((*Hit)[I].Tokens, (*Hyps)[I].Tokens) << "hypothesis " << I;
-    EXPECT_EQ((*Hit)[I].Score, (*Hyps)[I].Score) << "hypothesis " << I;
-  }
-  EXPECT_LT(Cache.bytesUsed(), RawTokenBytes)
-      << "compressed entry (top-1 + deltas) must undercut even the raw "
-         "token payload of the four hypotheses";
+  EXPECT_EQ(Hit->front().Tokens, std::vector<int>({3, 4, 5}));
 }
 
-TEST(DecodeLRU, EmptyAndDisjointResultsRoundTrip) {
+TEST(SourceLRU, EmptyResultIsCached) {
   DecodeLRU Cache(/*Capacity=*/8);
-  BeamConfig BC;
   // A result with no hypotheses is still a (negative) cache entry.
-  Cache.put({5}, 1, BC, std::make_shared<std::vector<Hypothesis>>());
-  auto Empty = Cache.get({5}, 1, BC);
+  putHyps(Cache, {5}, 1, DecodeTag(),
+          std::make_shared<std::vector<Hypothesis>>());
+  auto Empty = Cache.find({5}, 1);
   ASSERT_NE(Empty, nullptr);
   EXPECT_TRUE(Empty->empty());
-  // Hypotheses sharing NO prefix (delta degenerates to a full copy).
-  auto Hyps = std::make_shared<std::vector<Hypothesis>>();
-  Hyps->push_back({{10, 11, 12}, -1.0f});
-  Hyps->push_back({{20, 21}, -2.0f});
-  Cache.put({6}, 1, BC, Hyps);
-  auto Hit = Cache.get({6}, 1, BC);
-  ASSERT_NE(Hit, nullptr);
-  ASSERT_EQ(Hit->size(), 2u);
-  EXPECT_EQ((*Hit)[0].Tokens, std::vector<int>({10, 11, 12}));
-  EXPECT_EQ((*Hit)[1].Tokens, std::vector<int>({20, 21}));
-  EXPECT_EQ((*Hit)[1].Score, -2.0f);
 }
 
-TEST(DecodeLRU, CountBoundEvictsLeastRecentlyUsed) {
-  DecodeLRU Cache(/*Capacity=*/2);
-  BeamConfig BC;
-  Cache.put({1}, 1, BC, hypsOf({10}));
-  Cache.put({2}, 1, BC, hypsOf({20}));
-  EXPECT_NE(Cache.get({1}, 1, BC), nullptr); // Touch: {2} becomes LRU.
-  Cache.put({3}, 1, BC, hypsOf({30}));
+TEST(SourceLRU, MissSecondsAccrueOnMissOnly) {
+  Transformer Model(tinyConfig());
+  EncoderLRU Cache(/*Capacity=*/8);
+  std::vector<int> Src = {4, 5, 6, 7};
+  encodeVia(Cache, Model, Src);
+  EncoderLRU::Stats St = Cache.stats();
+  EXPECT_EQ(St.Misses, 1u);
+  EXPECT_GT(St.MissSeconds, 0.0) << "miss wall time must accumulate";
+  encodeVia(Cache, Model, Src); // Hit: no encode, no time accrued.
+  EXPECT_EQ(Cache.stats().MissSeconds, St.MissSeconds);
+}
+
+TEST(SourceLRU, EvictedSourceReencodesToIdenticalBeams) {
+  Transformer Model(tinyConfig());
+  EncoderLRU Cache(/*Capacity=*/2);
+  std::vector<int> A = {4, 5, 6}, B = {7, 8}, C = {9, 10, 11};
+  encodeVia(Cache, Model, A);
+  encodeVia(Cache, Model, B);
+  encodeVia(Cache, Model, C); // A is the LRU victim.
   EXPECT_EQ(Cache.size(), 2u);
   EXPECT_EQ(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(Cache.get({2}, 1, BC), nullptr) << "LRU victim";
-  EXPECT_NE(Cache.get({1}, 1, BC), nullptr) << "touched entry survives";
-  EXPECT_NE(Cache.get({3}, 1, BC), nullptr);
+
+  BeamConfig BC;
+  BC.BeamSize = 3;
+  BC.MaxLen = 10;
+  auto FromCache = beamSearch(Model, encodeVia(Cache, Model, A), BC);
+  EXPECT_EQ(Cache.stats().Misses, 4u) << "the evicted source re-encodes";
+  auto Fresh = beamSearch(Model, A, BC);
+  ASSERT_EQ(FromCache.size(), Fresh.size());
+  for (size_t I = 0; I < Fresh.size(); ++I) {
+    EXPECT_EQ(FromCache[I].Tokens, Fresh[I].Tokens) << "hypothesis " << I;
+    EXPECT_EQ(FromCache[I].Score, Fresh[I].Score) << "hypothesis " << I;
+  }
 }
 
-TEST(DecodeLRU, ByteBudgetEvictsButKeepsNewest) {
-  BeamConfig BC;
-  // Size one entry, then budget the cache below two entries' worth:
-  // every insert evicts the previous entry but is itself kept.
-  DecodeLRU Probe(4);
-  Probe.put({1, 2, 3, 4}, 1, BC, hypsOf({5, 6, 7, 8, 9, 10}));
-  size_t One = Probe.bytesUsed();
-  ASSERT_GT(One, 0u);
-  DecodeLRU Cache(/*Capacity=*/64, /*ByteBudget=*/One + One / 2);
-  for (int S = 0; S < 4; ++S)
-    Cache.put({1, 2, 3, S}, 1, BC, hypsOf({5, 6, 7, 8, 9, 10}));
-  EXPECT_EQ(Cache.size(), 1u) << "budget holds one same-sized entry";
-  EXPECT_EQ(Cache.stats().Evictions, 3u);
+TEST(SourceLRU, ConcurrentFindInsertKeepsAccountingExact) {
+  // Four threads find/insert eight overlapping keys of different sizes
+  // under a budget that holds about three entries, so inserts, touches
+  // and evictions interleave across threads.
+  constexpr int Keys = 8;
+  auto srcOf = [](int K) { return std::vector<int>{K, 100 + K}; };
+  auto valueBytes = [](int K) { return 500 + 250 * static_cast<size_t>(K); };
+  auto valueOf = [](int K) { return std::vector<int>{K, K * K, -K}; };
+  size_t MeanEntry = 0;
+  for (int K = 0; K < Keys; ++K)
+    MeanEntry += valueBytes(K) + srcOf(K).size() * sizeof(int);
+  MeanEntry /= Keys;
+  SourceLRU<std::vector<int>> Cache(/*Capacity=*/4,
+                                    /*ByteBudget=*/3 * MeanEntry);
+
+  std::atomic<int> Wrong{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (int I = 0; I < 3000; ++I) {
+        int K = (T * 3 + I * (T + 1)) % Keys;
+        std::vector<int> Src = srcOf(K);
+        auto V = Cache.find(Src, 1);
+        if (!V)
+          V = Cache.insert(Src, 1, NoTag(),
+                           std::make_shared<std::vector<int>>(valueOf(K)),
+                           valueBytes(K));
+        if (*V != valueOf(K))
+          ++Wrong;
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(Wrong.load(), 0) << "every hit returns its own key's value";
+  EXPECT_LE(Cache.size(), Cache.capacity());
   EXPECT_LE(Cache.bytesUsed(), Cache.byteBudget());
-  EXPECT_NE(Cache.get({1, 2, 3, 3}, 1, BC), nullptr)
-      << "the newest entry always survives";
-  Cache.clear();
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-  EXPECT_EQ(Cache.size(), 0u);
+  size_t Present = 0, Live = 0;
+  for (int K = 0; K < Keys; ++K)
+    if (Cache.find(srcOf(K), 1)) {
+      ++Present;
+      Live += valueBytes(K) + srcOf(K).size() * sizeof(int);
+    }
+  EXPECT_EQ(Present, Cache.size());
+  EXPECT_EQ(Cache.bytesUsed(), Live)
+      << "byte accounting equals the sum of the entries present";
+  EXPECT_GT(Cache.stats().Evictions, 0u);
 }
 
 TEST(Transformer, BeamReturnsSortedHypotheses) {

@@ -186,11 +186,11 @@ void usage() {
 }
 
 /// Strict integer parse: the whole of \p V must be a decimal integer in
-/// [1, INT_MAX].
-bool parsePositiveInt(const char *V, int *Out) {
+/// [Min, INT_MAX].
+bool parseIntAtLeast(const char *V, int Min, int *Out) {
   char *End = nullptr;
   long N = std::strtol(V, &End, 10);
-  if (End == V || *End != '\0' || N < 1 || N > INT_MAX)
+  if (End == V || *End != '\0' || N < Min || N > INT_MAX)
     return false;
   *Out = static_cast<int>(N);
   return true;
@@ -265,7 +265,7 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      if (!parsePositiveInt(V, &O->Serve.BeamSize)) {
+      if (!parseIntAtLeast(V, 1, &O->Serve.BeamSize)) {
         std::fprintf(stderr, "error: --beam must be an integer >= 1\n");
         return false;
       }
@@ -273,7 +273,7 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      if (!parsePositiveInt(V, &O->Serve.MaxLen)) {
+      if (!parseIntAtLeast(V, 1, &O->Serve.MaxLen)) {
         std::fprintf(stderr, "error: --maxlen must be an integer >= 1\n");
         return false;
       }
@@ -286,18 +286,18 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      O->EncCacheMb = std::atoi(V);
-      if (O->EncCacheMb < 0) {
-        std::fprintf(stderr, "error: --enc-cache-mb must be >= 0\n");
+      if (!parseIntAtLeast(V, 0, &O->EncCacheMb)) {
+        std::fprintf(stderr,
+                     "error: --enc-cache-mb must be an integer >= 0\n");
         return false;
       }
     } else if (A == "--dec-cache-mb") {
       const char *V = Next();
       if (!V)
         return false;
-      O->DecCacheMb = std::atoi(V);
-      if (O->DecCacheMb < 0) {
-        std::fprintf(stderr, "error: --dec-cache-mb must be >= 0\n");
+      if (!parseIntAtLeast(V, 0, &O->DecCacheMb)) {
+        std::fprintf(stderr,
+                     "error: --dec-cache-mb must be an integer >= 0\n");
         return false;
       }
     } else if (A == "--shards") {
@@ -993,9 +993,7 @@ int main(int argc, char **argv) {
   // -- model ------------------------------------------------------------------
   core::TrainedSystem Sys = loadOrTrain(O);
   core::Decompiler Slade(std::move(Sys.Tok), std::move(Sys.Model),
-                         /*EncoderCacheCap=*/64,
                          static_cast<size_t>(O.EncCacheMb) << 20,
-                         /*DecodeCacheCap=*/256,
                          static_cast<size_t>(O.DecCacheMb) << 20);
 
   if (O.Speculate != nn::SpecMode::Off) {
