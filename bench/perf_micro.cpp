@@ -24,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <future>
 #include <random>
 #include <thread>
@@ -80,16 +81,41 @@ void BM_InterpreterRun(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterRun);
 
+/// Tokenizes one x86 O0 function of about 360 tokens (the serving
+/// benchmark's mean source length) with a vocabulary trained on
+/// generator C and assembly, as the zoo checkpoints are.
 void BM_TokenizerEncode(benchmark::State &State) {
-  std::vector<std::string> Texts(20, SumSrc);
-  tok::Tokenizer::Config TC;
-  tok::Tokenizer Tok = tok::Tokenizer::train(Texts, TC);
-  auto P = core::compileProgram(SumSrc, "", "sum", asmx::Dialect::X86,
-                                false);
+  dataset::Corpus C =
+      dataset::buildCorpus(dataset::Suite::ExeBench, 40, 0, /*Seed=*/31);
+  std::vector<std::string> Texts, Asm;
+  for (const dataset::Sample &S : C.Train) {
+    auto P = core::compileProgram(S.FunctionSource, S.ContextSource, S.Name,
+                                  asmx::Dialect::X86, false);
+    if (!P)
+      continue;
+    Texts.push_back(S.FunctionSource);
+    Texts.push_back(P->TargetAsm);
+    Asm.push_back(P->TargetAsm);
+  }
+  tok::Tokenizer Tok = tok::Tokenizer::train(Texts, tok::Tokenizer::Config());
+  std::string Input;
+  size_t BestGap = SIZE_MAX, Tokens = 0;
+  for (const std::string &A : Asm) {
+    size_t N = Tok.encode(A).size();
+    size_t Gap = N > 360 ? N - 360 : 360 - N;
+    if (Gap < BestGap) {
+      BestGap = Gap;
+      Input = A;
+      Tokens = N;
+    }
+  }
   for (auto _ : State) {
-    auto Ids = Tok.encode(P->TargetAsm);
+    auto Ids = Tok.encode(Input);
     benchmark::DoNotOptimize(Ids);
   }
+  State.counters["tokens"] = static_cast<double>(Tokens);
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Tokens));
 }
 BENCHMARK(BM_TokenizerEncode);
 

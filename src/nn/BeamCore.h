@@ -1,9 +1,9 @@
 //===- BeamCore.h - shared beam-search selection core -----------*- C++ -*-===//
 ///
 /// \file
-/// The per-source beam-search bookkeeping shared by every decode driver:
-/// the single-source loop and cross-request multi driver in Beam.cpp, and
-/// the continuous-batching serve engine (serve/Engine.cpp). Keeping the
+/// The per-source beam-search bookkeeping shared by both decode drivers:
+/// the single-source loop in Beam.cpp (beamSearch) and the
+/// continuous-batching serve engine (serve/Engine.cpp). Keeping the
 /// log-softmax / top-k / candidate-ordering / retirement logic in ONE
 /// place is what makes the drivers byte-identical per source: they can
 /// only differ in how rows are batched, never in which hypotheses

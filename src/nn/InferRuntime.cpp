@@ -33,7 +33,7 @@ void EncodeScratch::ensure(const TransformerConfig &Cfg, int T) {
   Grow(Qh, Tz * Dh);
   Grow(Kh, Tz * Dh);
   Grow(Vh, Tz * Dh);
-  Grow(Scores, Tz * Tz);
+  Grow(Scores, std::min<size_t>(AttnRowBlock, Tz) * Tz);
   Grow(HeadOut, Tz * Dh);
   Grow(Attn, Tz * D);
   Grow(Proj, Tz * D);
@@ -195,15 +195,22 @@ void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
       // Kh^T is an activation, so it packs per call — into the arena's
       // explicit scratch handle, once per head.
       packBTransposedInto(Kh, T, Dh, S.PackB);
-      size_t TT = static_cast<size_t>(T) * T;
-      std::fill(Scores, Scores + TT, 0.0f);
-      gemmAccPacked(Qh, S.PackB, Scores, T);
-      for (size_t I = 0; I < TT; ++I)
-        Scores[I] *= Scale;
-      for (int I = 0; I < T; ++I)
-        softmaxRowInPlace(Scores + static_cast<size_t>(I) * T, T);
       std::fill(HeadOut, HeadOut + static_cast<size_t>(T) * Dh, 0.0f);
-      gemmAcc(Scores, Vh, HeadOut, T, T, Dh);
+      // One block of query rows at a time: each element still reduces
+      // over K in one fixed order, so blocking keeps every bit.
+      for (int R0 = 0; R0 < T; R0 += EncodeScratch::AttnRowBlock) {
+        int RB = std::min(EncodeScratch::AttnRowBlock, T - R0);
+        size_t BT = static_cast<size_t>(RB) * T;
+        std::fill(Scores, Scores + BT, 0.0f);
+        gemmAccPacked(Qh + static_cast<size_t>(R0) * Dh, S.PackB, Scores,
+                      RB);
+        for (size_t I = 0; I < BT; ++I)
+          Scores[I] *= Scale;
+        for (int I = 0; I < RB; ++I)
+          softmaxRowInPlace(Scores + static_cast<size_t>(I) * T, T);
+        gemmAcc(Scores, Vh, HeadOut + static_cast<size_t>(R0) * Dh, RB, T,
+                Dh);
+      }
       for (int I = 0; I < T; ++I)
         std::memcpy(Attn + static_cast<size_t>(I) * D + Off,
                     HeadOut + static_cast<size_t>(I) * Dh, DhBytes);

@@ -35,11 +35,18 @@ namespace nn {
 /// Acquired from a process-wide pool by InferRuntime::encodeSource, or
 /// owned directly by callers that want single-threaded reuse.
 struct EncodeScratch {
+  /// Query rows per block of encoder self-attention: scores, softmax and
+  /// the value product run one block at a time. A multiple of the GEMM
+  /// row tile, so every row meets the same microkernel as in one
+  /// T-row product and the outputs are bit-identical.
+  static constexpr int AttnRowBlock = 16;
+
   std::vector<float> X;       ///< [T, D] residual stream.
   std::vector<float> Norm;    ///< [T, D] pre-LN block input.
   std::vector<float> Q, K, V; ///< [T, D] attention projections.
   std::vector<float> Qh, Kh, Vh; ///< [T, Dh] per-head slices.
-  std::vector<float> Scores;  ///< [T, T] one head's attention matrix.
+  /// [AttnRowBlock, T] one head's attention rows for one query block.
+  std::vector<float> Scores;
   std::vector<float> HeadOut; ///< [T, Dh] one head's output.
   std::vector<float> Attn;    ///< [T, D] concatenated head outputs.
   std::vector<float> Proj;    ///< [T, D] block output before residual.

@@ -38,6 +38,8 @@ const char *slade::obs::spanKindName(SpanKind K) {
     return "spec_round";
   case SpanKind::OracleMask:
     return "oracle_mask";
+  case SpanKind::VerifyWait:
+    return "verify_wait";
   case SpanKind::KindCount:
     break;
   }

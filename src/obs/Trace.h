@@ -63,6 +63,8 @@ enum class SpanKind : uint8_t {
   SpecRound,    ///< SHARD scope: propose/verify round. Arg0 = proposed,
                 ///< Arg1 = accepted.
   OracleMask,   ///< SHARD scope: constraint-mask time within a tick.
+  VerifyWait,   ///< Joined an identical in-flight verify -> its result
+                ///< fanned out. Arg0 = the verifying request's Seq.
   KindCount
 };
 

@@ -79,7 +79,9 @@ struct DecompileRequest {
   std::shared_ptr<const nn::Transformer::EncoderCache> Enc;
   /// When set, the engine runs the full pipeline on retirement: candidate
   /// compile + IO-verification in beam order on the worker pool,
-  /// overlapped with ongoing decode. Must outlive request completion.
+  /// overlapped with ongoing decode. Must outlive request completion and
+  /// stay unmodified while the request is in flight: requests that share
+  /// a task and a decode result share one verify (Engine coalescing).
   const core::EvalTask *Task = nullptr;
   /// Optional completion deadline (steady clock). max() = none. The
   /// engine sheds the request the moment it observes the deadline passed

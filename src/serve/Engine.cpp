@@ -87,6 +87,7 @@ struct Engine::Completion {
   bool Traced = false;
   uint64_t SubmitNs = 0; ///< Queue-wait span start.
   uint64_t RouteNs = 0;  ///< Dispatch routed it; admission-wait start.
+  uint64_t JoinNs = 0;   ///< Joined an in-flight verify; verify-wait start.
 
   /// Why this completion can no longer be served — or Ok while it can.
   /// Cancellation wins over expiry when both hold (the client asked
@@ -282,7 +283,8 @@ void Engine::registerInstruments() {
 /// Instead the scrape takes ONE snapshot under the same mutex — the
 /// invariant holds on every exposition, mid-flight included.
 void Engine::collectInto(obs::MetricSink &Sink) const {
-  size_t Sub, Comp, Ok, Fused, Dedup, CacheHits, CacheMisses, Peak;
+  size_t Sub, Comp, Ok, Fused, Dedup, Coalesced, CacheHits, CacheMisses,
+      Peak;
   size_t Shed, Expired, Cancelled, ShutDown, EncFailed, VerFailed;
   uint64_t VTimeouts, VRetries;
   double EncSec, VerSec, DrMs;
@@ -293,6 +295,7 @@ void Engine::collectInto(obs::MetricSink &Sink) const {
     Ok = OkCount;
     Fused = FusedJobs;
     Dedup = InFlightDeduped;
+    Coalesced = VerifyCoalesced;
     CacheHits = DecodeCacheHits;
     CacheMisses = DecodeCacheMisses;
     Peak = PeakLiveSources;
@@ -332,6 +335,10 @@ void Engine::collectInto(obs::MetricSink &Sink) const {
   Sink.counter("slade_engine_inflight_deduped_total",
                "Requests attached to a live identical decode", "",
                D(Dedup));
+  Sink.counter("slade_verify_coalesced_total",
+               "Verified requests resolved from an identical in-flight "
+               "verify",
+               "", D(Coalesced));
   Sink.counter("slade_engine_decode_cache_hits_total",
                "Requests served from the decoded-hypotheses LRU", "",
                D(CacheHits));
@@ -351,6 +358,20 @@ void Engine::collectInto(obs::MetricSink &Sink) const {
                static_cast<double>(VRetries));
   Sink.gauge("slade_engine_drain_ms",
              "Wall ms the terminal drain()/stop() took", "", DrMs);
+  // The decompiler's encoder-output LRU (lifetime counters).
+  nn::EncoderLRU::Stats ES = this->D.encoderCache().stats();
+  Sink.counter("slade_encoder_cache_hits_total",
+               "Encoder-output LRU lookups that hit", "",
+               static_cast<double>(ES.Hits));
+  Sink.counter("slade_encoder_cache_misses_total",
+               "Encoder-output LRU lookups that missed", "",
+               static_cast<double>(ES.Misses));
+  Sink.counter("slade_encoder_cache_evictions_total",
+               "Encoder-output LRU entries evicted by count or byte budget",
+               "", static_cast<double>(ES.Evictions));
+  Sink.gauge("slade_encoder_cache_bytes",
+             "Heap bytes held by the encoder-output LRU", "",
+             static_cast<double>(this->D.encoderCache().bytesUsed()));
   // Weight-version pack caches (nn/Transformer.h): how often the decode
   // constants / packed tiles rebuilt and the bytes the packs pin.
   nn::Transformer::PackCacheStats PS = this->D.model().packCacheStats();
@@ -504,6 +525,7 @@ EngineMetrics Engine::metrics() const {
     M.Ok = OkCount;
     M.FusedJobs = FusedJobs;
     M.InFlightDeduped = InFlightDeduped;
+    M.VerifyCoalesced = VerifyCoalesced;
     M.DecodeCacheHits = DecodeCacheHits;
     M.DecodeCacheMisses = DecodeCacheMisses;
     M.PeakLiveSources = PeakLiveSources;
@@ -545,6 +567,11 @@ EngineMetrics Engine::metrics() const {
   M.SpecFallbacks = Ins.SpecFallbacks->value();
   M.DraftSeconds = Ins.DraftSeconds->value();
   M.DecodeCacheBytes = D.decodeCache().bytesUsed();
+  nn::EncoderLRU::Stats ES = D.encoderCache().stats();
+  M.EncoderCacheHits = ES.Hits;
+  M.EncoderCacheMisses = ES.Misses;
+  M.EncoderCacheEvictions = ES.Evictions;
+  M.EncoderCacheBytes = D.encoderCache().bytesUsed();
   return M;
 }
 
@@ -631,114 +658,191 @@ void Engine::completeOne(
     completeResult(std::move(Res), std::move(C));
     return;
   }
-  // Pooled IO-verification, overlapped with ongoing decode. Within the
-  // request, candidates are tried sequentially in beam order with early
-  // exit on the first IO pass — exactly Decompiler::decompile's
-  // sequential selection, so outcomes are byte-identical to a
-  // one-at-a-time run whenever no bound fires. Candidate evaluation is
-  // CONTAINED: per-candidate wall-clock timeout, bounded retry for
-  // thrown attempts, and no exception escapes to the pool.
-  bool UseTypeInf = Opts.UseTypeInference;
+  verifyOrJoin(std::move(C), std::move(Hyps));
+}
+
+/// Verify coalescing: the first request for a (task, hypotheses) pair
+/// leads and runs the verify; identical requests that arrive while it is
+/// queued or running join its group and resolve from its outcome, each
+/// with its own name, queue wait and latency.
+void Engine::verifyOrJoin(
+    Completion &&C,
+    std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps) {
+  const bool Coalesce = !Injector.enabled();
+  if (Coalesce) {
+    std::lock_guard<std::mutex> Lock(VerifyMu);
+    auto [It, Leader] = VerifyGroups.try_emplace({C.Task, Hyps.get()});
+    if (!Leader) {
+      if (C.Traced)
+        C.JoinNs = obs::trace().nowNs();
+      It->second.push_back(std::move(C));
+      return;
+    }
+  }
+  submitVerify(std::move(C), std::move(Hyps), Coalesce);
+}
+
+void Engine::submitVerify(
+    Completion &&C, std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps,
+    bool Leader) {
   auto Shared = std::make_shared<Completion>(std::move(C));
-  verifyPool().submit([this, UseTypeInf, Shared, Hyps] {
-    const tok::Tokenizer &Tok = D.tokenizer();
-    auto T0 = Clock::now();
-    obs::TraceRecorder &TR = obs::trace();
-    obs::ScopedSpan VerifySpan(TR, obs::SpanKind::Verify, Shared->Seq,
-                               Shared->Traced);
-    core::HypothesisOutcome First, Picked;
-    bool HaveFirst = false, Passed = false, Degraded = false,
-         AnyFaulted = false;
-    int Cand = 0;
-    for (const nn::Hypothesis &H : *Hyps) {
-      // Between-candidate cancellation point: cancel, request deadline,
-      // and the engine drain deadline all cut the verify short with a
-      // typed resolution instead of wedging a worker.
-      RequestStatus Dead = Shared->deadStatus(Clock::now());
-      if (Dead == RequestStatus::Ok && Clock::now() >= drainDeadline())
-        Dead = RequestStatus::ShuttingDown;
-      if (Dead != RequestStatus::Ok) {
-        {
-          std::lock_guard<std::mutex> Lock(MetricsMu);
-          VerifySeconds += secondsSince(T0);
-        }
-        completeEmpty(std::move(*Shared), Dead);
-        return;
-      }
-      std::string CSource = Tok.decode(H.Tokens);
-      obs::ScopedSpan CandSpan(TR, obs::SpanKind::VerifyCand, Shared->Seq,
-                               Shared->Traced);
-      core::VerifyLimits VL;
-      VL.CandidateTimeoutSeconds = Opts.VerifyCandidateTimeout;
-      VL.MaxRetries = Opts.VerifyMaxRetries;
-      VL.RetryBackoffSeconds = Opts.VerifyRetryBackoff;
-      VL.Deadline = std::min(Shared->Deadline, drainDeadline());
-      VL.Traced = Shared->Traced;
-      VL.TraceId = Shared->Seq;
-      VL.TraceCand = Cand;
-      if (Injector.enabled()) {
-        uint64_t Seq = Shared->Seq;
-        const FaultInjector *FI = &Injector;
-        VL.BeforeAttempt = [FI, Seq, Cand](int Attempt,
-                                           Clock::time_point CandDl) {
-          if (FI->verifyHangAt(Seq, Cand, Attempt)) {
-            // Hang in slices, honoring the candidate deadline: a
-            // timed-out candidate frees its worker within one slice.
-            auto End =
-                Clock::now() + secondsToDuration(FI->config().HangSeconds);
-            while (Clock::now() < End && Clock::now() < CandDl)
-              std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-          if (FI->verifyThrowAt(Seq, Cand, Attempt))
-            throw std::runtime_error("injected verify fault");
-        };
-      }
-      core::VerifyAttemptStats AS;
-      core::HypothesisOutcome O = core::evaluateHypothesisBounded(
-          *Shared->Task, CSource, UseTypeInf, VL, &AS);
-      CandSpan.args(static_cast<uint64_t>(Cand),
-                    (static_cast<uint64_t>(AS.Retries) << 2) |
-                        (AS.TimedOut ? 2u : 0u) | (AS.Faulted ? 1u : 0u));
-      CandSpan.end();
-      if (AS.Retries || AS.TimedOut) {
-        std::lock_guard<std::mutex> Lock(MetricsMu);
-        VerifyRetries += static_cast<uint64_t>(AS.Retries);
-        if (AS.TimedOut)
-          ++VerifyTimeouts;
-      }
-      if (AS.Faulted || AS.TimedOut)
-        Degraded = true; // This candidate gave up: selection may shift.
-      AnyFaulted = AnyFaulted || AS.Faulted;
-      if (!HaveFirst) {
-        First = O;
-        HaveFirst = true;
-      }
-      if (O.IOCorrect) {
-        Picked = O; // First candidate passing the IO tests (§VI-A).
-        Passed = true;
-        break;
-      }
-      ++Cand;
-    }
+  verifyPool().submit([this, Shared, Hyps, Leader] {
     RequestResult Res;
-    Res.Name = Shared->Name;
-    Res.Outcome = Passed ? Picked : First;
-    Res.CSource = Res.Outcome.CSource;
-    Res.Verified = true;
-    Res.Degraded = Degraded;
-    // A request only FAILS on faults when they may have cost it its
-    // verdict: some candidate faulted out and none passed. A pass after
-    // a contained fault is still Ok (that is the containment working),
-    // though marked Degraded for the byte-identity oracles.
-    Res.Status = (!Passed && AnyFaulted) ? RequestStatus::VerifyFailed
-                                         : RequestStatus::Ok;
-    Res.Hyps = *Hyps;
-    {
-      std::lock_guard<std::mutex> Lock(MetricsMu);
-      VerifySeconds += secondsSince(T0);
+    RequestStatus St = verifyCandidates(*Shared, *Hyps, &Res);
+    std::vector<Completion> Members;
+    if (Leader) {
+      std::lock_guard<std::mutex> Lock(VerifyMu);
+      auto It = VerifyGroups.find({Shared->Task, Hyps.get()});
+      Members = std::move(It->second);
+      VerifyGroups.erase(It);
     }
-    completeResult(std::move(Res), std::move(*Shared));
+    // Only a full, unimpaired verify is shared: a Degraded outcome lost
+    // a candidate to a timeout or contained fault, so every member
+    // verifies on its own instead.
+    const bool Share = St == RequestStatus::Ok && !Res.Degraded;
+    RequestResult Proto;
+    if (Share && !Members.empty())
+      Proto = Res;
+    const uint64_t LeaderSeq = Shared->Seq;
+    if (St == RequestStatus::Ok)
+      completeResult(std::move(Res), std::move(*Shared));
+    else
+      completeEmpty(std::move(*Shared), St);
+    obs::TraceRecorder &TR = obs::trace();
+    for (Completion &M : Members) {
+      if (M.Traced)
+        TR.record(obs::SpanKind::VerifyWait, M.Seq, M.JoinNs, TR.nowNs(),
+                  LeaderSeq);
+      if (!Share && St == RequestStatus::Ok) {
+        submitVerify(std::move(M), Hyps, /*Leader=*/false);
+        continue;
+      }
+      // Each member's own cancellation point.
+      RequestStatus Dead = M.deadStatus(Clock::now());
+      if (Dead != RequestStatus::Ok) {
+        completeEmpty(std::move(M), Dead);
+        continue;
+      }
+      if (!Share) {
+        // The leader died mid-verify: the survivors verify afresh, the
+        // first of them leading a new group.
+        verifyOrJoin(std::move(M), Hyps);
+        continue;
+      }
+      RequestResult R = Proto;
+      R.Name = M.Name;
+      {
+        std::lock_guard<std::mutex> Lock(MetricsMu);
+        ++VerifyCoalesced;
+      }
+      completeResult(std::move(R), std::move(M));
+    }
   });
+}
+
+/// Pooled IO-verification, overlapped with ongoing decode. Within the
+/// request, candidates are tried sequentially in beam order with early
+/// exit on the first IO pass — exactly Decompiler::decompile's
+/// sequential selection, so outcomes are byte-identical to a
+/// one-at-a-time run whenever no bound fires. Candidate evaluation is
+/// CONTAINED: per-candidate wall-clock timeout, bounded retry for
+/// thrown attempts, and no exception escapes to the pool.
+RequestStatus
+Engine::verifyCandidates(const Completion &C,
+                         const std::vector<nn::Hypothesis> &Hyps,
+                         RequestResult *Res) {
+  const tok::Tokenizer &Tok = D.tokenizer();
+  auto T0 = Clock::now();
+  auto AddVerifySeconds = [&] {
+    std::lock_guard<std::mutex> Lock(MetricsMu);
+    VerifySeconds += secondsSince(T0);
+  };
+  obs::TraceRecorder &TR = obs::trace();
+  obs::ScopedSpan VerifySpan(TR, obs::SpanKind::Verify, C.Seq, C.Traced);
+  core::HypothesisOutcome First, Picked;
+  bool HaveFirst = false, Passed = false, Degraded = false,
+       AnyFaulted = false;
+  int Cand = 0;
+  for (const nn::Hypothesis &H : Hyps) {
+    // Between-candidate cancellation point: cancel, request deadline,
+    // and the engine drain deadline all cut the verify short with a
+    // typed resolution instead of wedging a worker.
+    RequestStatus Dead = C.deadStatus(Clock::now());
+    if (Dead == RequestStatus::Ok && Clock::now() >= drainDeadline())
+      Dead = RequestStatus::ShuttingDown;
+    if (Dead != RequestStatus::Ok) {
+      AddVerifySeconds();
+      return Dead;
+    }
+    std::string CSource = Tok.decode(H.Tokens);
+    obs::ScopedSpan CandSpan(TR, obs::SpanKind::VerifyCand, C.Seq,
+                             C.Traced);
+    core::VerifyLimits VL;
+    VL.CandidateTimeoutSeconds = Opts.VerifyCandidateTimeout;
+    VL.MaxRetries = Opts.VerifyMaxRetries;
+    VL.RetryBackoffSeconds = Opts.VerifyRetryBackoff;
+    VL.Deadline = std::min(C.Deadline, drainDeadline());
+    VL.Traced = C.Traced;
+    VL.TraceId = C.Seq;
+    VL.TraceCand = Cand;
+    if (Injector.enabled()) {
+      uint64_t Seq = C.Seq;
+      const FaultInjector *FI = &Injector;
+      VL.BeforeAttempt = [FI, Seq, Cand](int Attempt,
+                                         Clock::time_point CandDl) {
+        if (FI->verifyHangAt(Seq, Cand, Attempt)) {
+          // Hang in slices, honoring the candidate deadline: a
+          // timed-out candidate frees its worker within one slice.
+          auto End =
+              Clock::now() + secondsToDuration(FI->config().HangSeconds);
+          while (Clock::now() < End && Clock::now() < CandDl)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        if (FI->verifyThrowAt(Seq, Cand, Attempt))
+          throw std::runtime_error("injected verify fault");
+      };
+    }
+    core::VerifyAttemptStats AS;
+    core::HypothesisOutcome O = core::evaluateHypothesisBounded(
+        *C.Task, CSource, Opts.UseTypeInference, VL, &AS);
+    CandSpan.args(static_cast<uint64_t>(Cand),
+                  (static_cast<uint64_t>(AS.Retries) << 2) |
+                      (AS.TimedOut ? 2u : 0u) | (AS.Faulted ? 1u : 0u));
+    CandSpan.end();
+    if (AS.Retries || AS.TimedOut) {
+      std::lock_guard<std::mutex> Lock(MetricsMu);
+      VerifyRetries += static_cast<uint64_t>(AS.Retries);
+      if (AS.TimedOut)
+        ++VerifyTimeouts;
+    }
+    if (AS.Faulted || AS.TimedOut)
+      Degraded = true; // This candidate gave up: selection may shift.
+    AnyFaulted = AnyFaulted || AS.Faulted;
+    if (!HaveFirst) {
+      First = O;
+      HaveFirst = true;
+    }
+    if (O.IOCorrect) {
+      Picked = O; // First candidate passing the IO tests (§VI-A).
+      Passed = true;
+      break;
+    }
+    ++Cand;
+  }
+  Res->Name = C.Name;
+  Res->Outcome = Passed ? Picked : First;
+  Res->CSource = Res->Outcome.CSource;
+  Res->Verified = true;
+  Res->Degraded = Degraded;
+  // A request only FAILS on faults when they may have cost it its
+  // verdict: some candidate faulted out and none passed. A pass after
+  // a contained fault is still Ok (that is the containment working),
+  // though marked Degraded for the byte-identity oracles.
+  Res->Status = (!Passed && AnyFaulted) ? RequestStatus::VerifyFailed
+                                        : RequestStatus::Ok;
+  Res->Hyps = Hyps;
+  AddVerifySeconds();
+  return RequestStatus::Ok;
 }
 
 /// Retirement: complete the job's own request and every duplicate that
@@ -995,9 +1099,12 @@ void Engine::shardLoop(Shard &S) {
         std::make_shared<std::vector<nn::Hypothesis>>(
             nn::beamcore::finalizeBeams(std::move(J.Live),
                                         std::move(J.Done), BC, &J.CC));
+    // Serve the cached vector itself (the first entry when a racing
+    // job inserted one), so later cache hits share this job's
+    // hypotheses pointer and with it its in-flight verify.
     if (Opts.UseDecodeCache && !J.Src.empty())
-      D.decodeCache().insert(J.Src, J.ConstsVersion, Tag, Hyps,
-                             nn::hypothesesBytes(*Hyps));
+      Hyps = D.decodeCache().insert(J.Src, J.ConstsVersion, Tag, Hyps,
+                                    nn::hypothesesBytes(*Hyps));
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);

@@ -30,7 +30,10 @@
 ///                     ▼
 ///   verify pool:  compile + IO-test candidates in beam order — with
 ///                 per-candidate wall-clock timeouts, bounded retry for
-///                 transient faults, and full exception containment
+///                 transient faults, and full exception containment.
+///                 ONE verify per (task, hypotheses) in flight: identical
+///                 requests arriving while it is queued or running wait
+///                 on it and resolve from its outcome (coalescing)
 ///                     │
 ///                     ▼
 ///   future / callback completes (RequestResult with a typed
@@ -64,6 +67,7 @@
 #include <condition_variable>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -209,12 +213,21 @@ struct EngineMetrics {
   /// on ANY shard: they attached to the live job (single-flight) and
   /// completed with its hypotheses instead of occupying a decode row.
   size_t InFlightDeduped = 0;
+  /// Verified requests resolved from an identical in-flight verify —
+  /// same EvalTask, same hypotheses — instead of running their own.
+  size_t VerifyCoalesced = 0;
   /// Requests served from the decoded-hypotheses LRU: the whole beam
   /// decode was skipped (the non-overlapping-duplicates regime).
   size_t DecodeCacheHits = 0;
   size_t DecodeCacheMisses = 0;
   /// Heap bytes held by the (decompiler-owned) decoded-hypotheses LRU.
   size_t DecodeCacheBytes = 0;
+  /// The decompiler-owned encoder-output LRU: hits, misses, entries
+  /// evicted (by count or byte budget), and heap bytes held.
+  uint64_t EncoderCacheHits = 0;
+  uint64_t EncoderCacheMisses = 0;
+  uint64_t EncoderCacheEvictions = 0;
+  size_t EncoderCacheBytes = 0;
   size_t PeakLiveSources = 0; ///< Peak concurrently-live, all shards.
   double EncodeSeconds = 0; ///< Encoder passes at dispatch (LRU misses).
   double DecodeSeconds = 0; ///< Time inside stepDecodeBatch ticks.
@@ -341,6 +354,20 @@ private:
                  std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps);
   void completeOne(Completion &&C,
                    std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps);
+  /// Verifies \p C's candidates, or joins the identical verify already
+  /// in flight (see VerifyGroups).
+  void verifyOrJoin(Completion &&C,
+                    std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps);
+  /// Queues one verify on the pool. A \p Leader owns the VerifyGroups
+  /// entry for its key and fans its outcome out to the members.
+  void submitVerify(Completion &&C,
+                    std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps,
+                    bool Leader);
+  /// The candidate loop: Ok with \p Res filled, or the status that cut
+  /// it short (cancel, deadline, drain) with \p Res untouched.
+  RequestStatus verifyCandidates(const Completion &C,
+                                 const std::vector<nn::Hypothesis> &Hyps,
+                                 RequestResult *Res);
   void completeResult(RequestResult &&Res, Completion &&C);
   /// Typed no-payload resolution (shed / expired / cancelled / failed).
   void completeEmpty(Completion &&C, RequestStatus St);
@@ -407,6 +434,7 @@ private:
   size_t OkCount = 0;
   size_t FusedJobs = 0;
   size_t InFlightDeduped = 0;
+  size_t VerifyCoalesced = 0;
   size_t DecodeCacheHits = 0;
   size_t DecodeCacheMisses = 0;
   size_t LiveSources = 0; ///< Currently admitted into rows, all shards.
@@ -438,6 +466,20 @@ private:
   /// request has been routed; shard loops exit once it is set and their
   /// own work is done.
   std::atomic<bool> DispatchDone{false};
+  /// Verify coalescing: the members waiting on each in-flight verify,
+  /// keyed by (task, hypotheses). The hypotheses pointer identifies a
+  /// decode result — a decode-LRU hit, an attach and the job's own
+  /// completion share one vector — and the leader's reference pins it,
+  /// as the DecompileRequest::Task contract pins the task, so a key
+  /// cannot be reused while its group lives. That contract also requires
+  /// the task to stay unmodified while any request on it is in flight:
+  /// members take the leader's outcome for their own. Off while
+  /// FaultInjector is enabled: faults are keyed per request Seq.
+  using VerifyKey = std::pair<const core::EvalTask *,
+                              const std::vector<nn::Hypothesis> *>;
+  std::mutex VerifyMu;
+  std::map<VerifyKey, std::vector<Completion>> VerifyGroups;
+
   /// Lazily created verification pool (PoolMu guards creation: the
   /// dispatcher, any shard, or a decode-LRU hit may be first). Declared
   /// before the threads so workers are joined after the decode loops

@@ -8,21 +8,24 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
 
 using namespace slade;
 using namespace slade::tok;
 
-std::vector<std::string> slade::tok::preTokenize(const std::string &Text) {
-  std::vector<std::string> Atoms;
+namespace {
+
+/// The pre-tokenizer's one scan: calls \p F(Space, Begin, Len) for each
+/// atom of \p Text in order, where Space says whitespace preceded it.
+template <typename AtomFn>
+void forEachAtom(const std::string &Text, AtomFn &&F) {
   bool PendingSpace = false;
   size_t I = 0, N = Text.size();
-  auto push = [&](std::string Atom) {
-    if (PendingSpace)
-      Atom = std::string(metaspace()) + Atom;
+  auto Emit = [&](size_t Begin, size_t Len) {
+    F(PendingSpace, Begin, Len);
     PendingSpace = false;
-    Atoms.push_back(std::move(Atom));
   };
   while (I < N) {
     unsigned char C = static_cast<unsigned char>(Text[I]);
@@ -33,8 +36,7 @@ std::vector<std::string> slade::tok::preTokenize(const std::string &Text) {
     }
     if (std::isdigit(C)) {
       // Numbers split digit-by-digit (§IV): 512 -> [5, 1, 2].
-      push(std::string(1, static_cast<char>(C)));
-      ++I;
+      Emit(I++, 1);
       continue;
     }
     if (std::isalpha(C) || C == '_' || C == '.') {
@@ -50,77 +52,152 @@ std::vector<std::string> slade::tok::preTokenize(const std::string &Text) {
         else
           break;
       }
-      push(Text.substr(Start, I - Start));
+      Emit(Start, I - Start);
       continue;
     }
     // Punctuation: every sign is its own token (§IV).
-    push(std::string(1, static_cast<char>(C)));
-    ++I;
+    Emit(I++, 1);
   }
+}
+
+} // namespace
+
+std::vector<std::string> slade::tok::preTokenize(const std::string &Text) {
+  std::vector<std::string> Atoms;
+  forEachAtom(Text, [&](bool Space, size_t Begin, size_t Len) {
+    std::string Atom = Space ? metaspace() : "";
+    Atom.append(Text, Begin, Len);
+    Atoms.push_back(std::move(Atom));
+  });
   return Atoms;
 }
 
 void Tokenizer::rebuildIndex() {
-  PieceIds.clear();
-  for (size_t I = 0; I < Pieces.size(); ++I)
-    PieceIds[Pieces[I]] = static_cast<int>(I);
+  // Grow the trie with sorted child maps, then flatten it.
+  std::vector<std::map<unsigned char, int>> Kids(1);
+  std::vector<int> Ids(1, -1);
+  for (size_t I = 0; I < Pieces.size(); ++I) {
+    int Node = 0;
+    for (char Ch : Pieces[I]) {
+      unsigned char C = static_cast<unsigned char>(Ch);
+      auto It = Kids[static_cast<size_t>(Node)].find(C);
+      if (It != Kids[static_cast<size_t>(Node)].end()) {
+        Node = It->second;
+        continue;
+      }
+      int New = static_cast<int>(Kids.size());
+      Kids[static_cast<size_t>(Node)][C] = New;
+      Kids.emplace_back();
+      Ids.push_back(-1);
+      Node = New;
+    }
+    Ids[static_cast<size_t>(Node)] = static_cast<int>(I);
+  }
+  Nodes.assign(Kids.size(), TrieNode());
+  EdgeByte.clear();
+  EdgeChild.clear();
+  for (size_t N = 0; N < Kids.size(); ++N) {
+    Nodes[N].Id = Ids[N];
+    Nodes[N].FirstEdge = static_cast<uint32_t>(EdgeByte.size());
+    Nodes[N].NumEdges = static_cast<uint32_t>(Kids[N].size());
+    for (const auto &[C, Child] : Kids[N]) {
+      EdgeByte.push_back(C);
+      EdgeChild.push_back(Child);
+    }
+  }
+  std::fill(std::begin(RootChild), std::end(RootChild), -1);
+  for (const auto &[C, Child] : Kids[0])
+    RootChild[C] = Child;
+  const char *MS = metaspace();
+  MetaspaceNode[0] = 0;
+  for (int K = 0; K < 3; ++K)
+    MetaspaceNode[K + 1] =
+        MetaspaceNode[K] < 0
+            ? -1
+            : child(MetaspaceNode[K], static_cast<unsigned char>(MS[K]));
 }
 
-namespace {
+int Tokenizer::child(int Node, unsigned char C) const {
+  if (Node == 0)
+    return RootChild[C];
+  const TrieNode &T = Nodes[static_cast<size_t>(Node)];
+  for (uint32_t E = T.FirstEdge, End = T.FirstEdge + T.NumEdges; E < End;
+       ++E)
+    if (EdgeByte[E] == C)
+      return EdgeChild[E];
+  return -1;
+}
 
-/// Viterbi segmentation of \p Atom over \p PieceIds with \p LogProbs;
-/// returns piece ids (or UnkId singletons for uncovered characters).
-void viterbiSegment(const std::string &Atom,
-                    const std::unordered_map<std::string, int> &PieceIds,
-                    const std::vector<float> &LogProbs, unsigned MaxPieceLen,
-                    std::vector<int> *Out) {
-  size_t N = Atom.size();
-  std::vector<float> Best(N + 1, -1e30f);
-  std::vector<int> BackPiece(N + 1, -1);
-  std::vector<size_t> BackPos(N + 1, 0);
+/// Viterbi over the atom's bytes. Each reachable start walks the trie
+/// forward, offering every piece that starts there (or the unknown-byte
+/// fallback for a single uncovered byte) to the position it ends at.
+/// Starts run in ascending order, so each end position sees its
+/// candidates in ascending-start order and the strict `>` keeps the
+/// first of equal scores: the same choice as scanning every substring
+/// that ends at a position from its leftmost start.
+void Tokenizer::segment(bool Space, const char *Text, size_t Len,
+                        size_t Window, SegmentScratch &S,
+                        std::vector<int> *Out) const {
+  const size_t Ms = Space ? 3 : 0;
+  const size_t N = Ms + Len;
+  if (S.Best.size() < N + 1) {
+    S.Best.resize(N + 1);
+    S.BackPiece.resize(N + 1);
+    S.BackPos.resize(N + 1);
+  }
+  float *Best = S.Best.data();
+  int *BackPiece = S.BackPiece.data();
+  uint32_t *BackPos = S.BackPos.data();
+  std::fill(Best, Best + N + 1, -1e30f);
   Best[0] = 0;
-  for (size_t End = 1; End <= N; ++End) {
-    size_t MinStart = End > MaxPieceLen + 4 ? End - MaxPieceLen - 4 : 0;
-    for (size_t Start = MinStart; Start < End; ++Start) {
-      if (Best[Start] <= -1e29f)
-        continue;
-      auto It = PieceIds.find(Atom.substr(Start, End - Start));
+  const char *MS = metaspace();
+  for (size_t Start = 0; Start < N; ++Start) {
+    const float Base = Best[Start];
+    if (Base <= -1e29f)
+      continue;
+    const size_t MaxEnd = std::min(N, Start + Window);
+    int Node = 0;
+    for (size_t End = Start + 1; End <= MaxEnd; ++End) {
+      size_t Pos = End - 1;
+      if (Start == 0 && End <= Ms)
+        Node = MetaspaceNode[End];
+      else
+        Node = child(Node, static_cast<unsigned char>(
+                               Pos < Ms ? MS[Pos] : Text[Pos - Ms]));
+      int Id = Node >= 0 ? Nodes[static_cast<size_t>(Node)].Id : -1;
       float Score;
-      int Id;
-      if (It != PieceIds.end()) {
-        Id = It->second;
-        Score = Best[Start] + LogProbs[static_cast<size_t>(Id)];
+      if (Id >= 0) {
+        Score = Base + LogProbs[static_cast<size_t>(Id)];
       } else if (End - Start == 1) {
-        Id = Tokenizer::UnkId;
-        Score = Best[Start] - 30.0f; // Unknown character penalty.
+        Id = UnkId;
+        Score = Base + UnkPenalty;
+      } else if (Node < 0) {
+        break;
       } else {
         continue;
       }
       if (Score > Best[End]) {
         Best[End] = Score;
         BackPiece[End] = Id;
-        BackPos[End] = Start;
+        BackPos[End] = static_cast<uint32_t>(Start);
       }
+      if (Node < 0)
+        break;
     }
   }
-  std::vector<int> Rev;
+  size_t Mark = Out->size();
   for (size_t Pos = N; Pos > 0; Pos = BackPos[Pos])
-    Rev.push_back(BackPiece[Pos]);
-  Out->insert(Out->end(), Rev.rbegin(), Rev.rend());
-}
-
-} // namespace
-
-void Tokenizer::viterbi(const std::string &Atom,
-                        std::vector<int> *Out) const {
-  viterbiSegment(Atom, PieceIds, LogProbs,
-                 /*MaxPieceLen=*/24, Out);
+    Out->push_back(BackPiece[Pos]);
+  std::reverse(Out->begin() + static_cast<long>(Mark), Out->end());
 }
 
 std::vector<int> Tokenizer::encode(const std::string &Text) const {
+  // Per-thread buffers: encode runs concurrently on serving threads.
+  thread_local SegmentScratch S;
   std::vector<int> Out;
-  for (const std::string &Atom : preTokenize(Text))
-    viterbi(Atom, &Out);
+  forEachAtom(Text, [&](bool Space, size_t Begin, size_t Len) {
+    segment(Space, Text.data() + Begin, Len, EncodeWindow, S, &Out);
+  });
   return Out;
 }
 
@@ -220,13 +297,18 @@ Tokenizer Tokenizer::train(const std::vector<std::string> &Texts,
   Tok.rebuildIndex();
 
   // 3. Hard-EM: Viterbi counts, re-estimate, prune back to VocabSize.
+  //    Candidates reach MaxPieceLen + 3 bytes; the window adds the same
+  //    4-byte slack EncodeWindow has over encode's 24.
+  const size_t TrainWindow = Cfg.MaxPieceLen + 7;
+  SegmentScratch S;
+  std::vector<int> Ids;
   for (int Iter = 0; Iter < Cfg.EMIterations; ++Iter) {
     std::vector<int64_t> Counts(Tok.Pieces.size(), 0);
     int64_t Total = 0;
     for (const auto &[Atom, Freq] : AtomFreq) {
-      std::vector<int> Ids;
-      viterbiSegment(Atom, Tok.PieceIds, Tok.LogProbs, Cfg.MaxPieceLen + 3,
-                     &Ids);
+      Ids.clear();
+      Tok.segment(/*Space=*/false, Atom.data(), Atom.size(), TrainWindow, S,
+                  &Ids);
       for (int Id : Ids) {
         Counts[static_cast<size_t>(Id)] += Freq;
         Total += Freq;

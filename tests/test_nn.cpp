@@ -583,6 +583,38 @@ TEST(InferRuntime, EncodeSourceBitExactVsGraphAcrossLengths) {
   }
 }
 
+TEST(InferRuntime, RowBlockedAttentionBitExactAtBlockEdges) {
+  // Encoder self-attention runs in blocks of AttnRowBlock query rows;
+  // the graph oracle computes one T x T score matrix. Lengths sit on
+  // either side of the block edge, plus a 428-token source (the largest
+  // perfbench shape), and the output must match byte for byte.
+  static_assert(EncodeScratch::AttnRowBlock == 16, "lengths assume 16");
+  TransformerConfig Cfg;
+  Cfg.Vocab = 96;
+  Cfg.DModel = 32;
+  Cfg.NHeads = 4;
+  Cfg.FF = 48;
+  Cfg.EncLayers = 2;
+  Cfg.DecLayers = 1;
+  Cfg.MaxLen = 512;
+  Transformer Model(Cfg);
+  InferRuntime RT(Model);
+  for (int T : {1, 15, 16, 17, 428}) {
+    std::vector<int> Src;
+    for (int I = 0; I < T; ++I)
+      Src.push_back(3 + (I * 11 + T) % (Cfg.Vocab - 3));
+    EncodeScratch S;
+    Transformer::EncoderCache Out;
+    RT.encodeInto(Src, S, Out);
+    RT.finishEncoderCache(Out);
+    auto Ref = Model.encodeSourceGraph(Src);
+    expectCachesBitExact(Out, *Ref, ("T=" + std::to_string(T)).c_str());
+    EXPECT_EQ(S.Scores.size(),
+              static_cast<size_t>(std::min(T, 16)) * static_cast<size_t>(T))
+        << "scores hold one row block, not T x T";
+  }
+}
+
 TEST(InferRuntime, EncodeSourceBitExactAfterTrainStep) {
   // A weight update must invalidate the decode constants AND leave the
   // fast path bit-identical to the oracle on the NEW weights — a stale

@@ -10,6 +10,7 @@
 #include "core/Eval.h"
 #include "nn/Beam.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "serve/Engine.h"
 #include "serve/Jsonl.h"
 #include "serve/Scheduler.h"
@@ -26,6 +27,7 @@
 #include <fstream>
 #include <mutex>
 #include <random>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -1361,6 +1363,268 @@ TEST(Scheduler, RepeatedRunsHitTheEncoderCache) {
       << "all-hit run must report rate 1";
   for (size_t I = 0; I < First.size(); ++I)
     EXPECT_EQ(First[I].CSource, Second[I].CSource);
+}
+
+// -- verify coalescing --------------------------------------------------------
+
+/// Holds the verify pool's one worker: a verified request whose
+/// completion callback blocks until release(). While it is held every
+/// verify queues, so duplicates that arrive meanwhile meet their
+/// leader's verify still in flight, whatever the thread timing.
+class VerifyGate {
+public:
+  void hold(serve::Engine &Eng, const core::EvalTask &T) {
+    H = Eng.submit({"gate", "", {}, {}, &T},
+                   [this](const serve::RequestResult &) {
+                     std::unique_lock<std::mutex> Lock(Mu);
+                     Entered = true;
+                     Cv.notify_all();
+                     Cv.wait(Lock, [this] { return Released; });
+                   });
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [this] { return Entered; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Released = true;
+    }
+    Cv.notify_all();
+    EXPECT_TRUE(H.get().ok());
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Entered = false, Released = false;
+  serve::Handle H;
+};
+
+/// Engine options for the coalescing tests: one shard and ONE verify
+/// worker, so a VerifyGate stalls every verify.
+serve::EngineOptions coalesceOptions() {
+  serve::EngineOptions EO;
+  EO.BeamSize = 3;
+  EO.MaxLen = 40;
+  EO.Shards = 1;
+  EO.VerifyThreads = 1;
+  return EO;
+}
+
+/// Decodes each task's source once (translate-only) so later task
+/// requests for it hit the decode LRU on the dispatcher and share the
+/// cached hypotheses vector.
+void warmDecodeCache(serve::Engine &Eng,
+                     const std::vector<const core::EvalTask *> &Tasks) {
+  for (const core::EvalTask *T : Tasks)
+    ASSERT_TRUE(
+        Eng.submit({"warm", T->Prog.TargetAsm, {}, {}, nullptr}).get().ok());
+}
+
+/// A translate-only decode-LRU hit completes inline on the dispatcher,
+/// which serves its FIFO queue in order: once this resolves, every
+/// earlier request has been routed into (or joined) its verify.
+void dispatchFence(serve::Engine &Eng, const core::EvalTask &Warm) {
+  ASSERT_TRUE(
+      Eng.submit({"fence", Warm.Prog.TargetAsm, {}, {}, nullptr}).get().ok());
+}
+
+core::HypothesisOutcome sequentialOutcome(const core::Decompiler &D,
+                                          const core::EvalTask &T,
+                                          const serve::EngineOptions &EO) {
+  core::Decompiler::Options DO;
+  DO.BeamSize = EO.BeamSize;
+  DO.MaxLen = EO.MaxLen;
+  DO.VerifyThreads = 1;
+  return D.decompile(T, DO);
+}
+
+TEST(Engine, DuplicatesSharingATaskVerifyOncePerGroup) {
+  ServeFixture F(5);
+  ASSERT_GE(F.Tasks.size(), 4u);
+  const size_t Groups = 3, Dup = 4;
+  serve::EngineOptions EO = coalesceOptions();
+  serve::Engine Eng(*F.Slade, EO);
+  std::vector<const core::EvalTask *> Warm;
+  for (size_t G = 0; G < Groups; ++G)
+    Warm.push_back(&F.Tasks[G]);
+  warmDecodeCache(Eng, Warm);
+
+  obs::TraceRecorder &TR = obs::trace();
+  TR.clear();
+  TR.enable(1);
+  VerifyGate Gate;
+  Gate.hold(Eng, F.Tasks[Groups]);
+  std::vector<serve::Handle> H;
+  std::vector<std::string> Names;
+  for (size_t R = 0; R < Dup; ++R)
+    for (size_t G = 0; G < Groups; ++G) {
+      Names.push_back(F.Tasks[G].Name + "#" + std::to_string(R));
+      H.push_back(Eng.submit({Names.back(), "", {}, {}, &F.Tasks[G]}));
+    }
+  dispatchFence(Eng, F.Tasks[0]);
+  Gate.release();
+  for (size_t I = 0; I < H.size(); ++I) {
+    serve::RequestResult R = H[I].get();
+    ASSERT_TRUE(R.ok()) << Names[I];
+    EXPECT_EQ(R.Name, Names[I]) << "each member keeps its own name";
+    EXPECT_FALSE(R.Degraded);
+    expectSameOutcome(R.Outcome,
+                      sequentialOutcome(*F.Slade, F.Tasks[I % Groups], EO),
+                      I);
+  }
+  Eng.stop();
+  TR.disable();
+  serve::EngineMetrics M = Eng.metrics();
+  // 12 verified requests in 3 groups: 3 verifies, 9 coalesced.
+  EXPECT_EQ(M.VerifyCoalesced, Groups * (Dup - 1));
+  expectAccountingClosed(M);
+  EXPECT_EQ(M.Ok, M.Submitted);
+
+  // Each coalesced request's trace names the request whose verify it
+  // waited on.
+  std::set<uint64_t> Verified;
+  std::vector<uint64_t> WaitedOn;
+  TR.forEachEvent([&](const obs::SpanEvent &E, uint32_t) {
+    if (E.Kind == obs::SpanKind::Verify)
+      Verified.insert(E.Id);
+    else if (E.Kind == obs::SpanKind::VerifyWait)
+      WaitedOn.push_back(E.Arg0);
+  });
+  TR.clear();
+  EXPECT_EQ(WaitedOn.size(), Groups * (Dup - 1));
+  for (uint64_t Leader : WaitedOn)
+    EXPECT_TRUE(Verified.count(Leader)) << "leader seq " << Leader;
+}
+
+TEST(Engine, CancelledLeaderLeavesFollowersToReverify) {
+  ServeFixture F(4);
+  ASSERT_GE(F.Tasks.size(), 2u);
+  serve::EngineOptions EO = coalesceOptions();
+  serve::Engine Eng(*F.Slade, EO);
+  const core::EvalTask &T = F.Tasks[0];
+  warmDecodeCache(Eng, {&T});
+
+  VerifyGate Gate;
+  Gate.hold(Eng, F.Tasks[1]);
+  serve::Handle Leader = Eng.submit({"leader", "", {}, {}, &T});
+  serve::Handle A = Eng.submit({"a", "", {}, {}, &T});
+  serve::Handle B = Eng.submit({"b", "", {}, {}, &T});
+  dispatchFence(Eng, T);
+  // The leader dies inside its verify (at the first candidate check):
+  // its followers must not be stranded.
+  Leader.cancel();
+  Gate.release();
+  EXPECT_EQ(Leader.get().Status, serve::RequestStatus::Cancelled);
+  core::HypothesisOutcome Seq = sequentialOutcome(*F.Slade, T, EO);
+  serve::RequestResult RA = A.get(), RB = B.get();
+  ASSERT_TRUE(RA.ok());
+  ASSERT_TRUE(RB.ok());
+  EXPECT_EQ(RA.Name, "a");
+  EXPECT_EQ(RB.Name, "b");
+  expectSameOutcome(RA.Outcome, Seq, 0);
+  expectSameOutcome(RB.Outcome, Seq, 1);
+  Eng.stop();
+  serve::EngineMetrics M = Eng.metrics();
+  EXPECT_EQ(M.Cancelled, 1u);
+  // The survivors re-verify as a new group: "a" leads, "b" joins it.
+  EXPECT_EQ(M.VerifyCoalesced, 1u);
+  expectAccountingClosed(M);
+}
+
+TEST(Engine, FollowerPastItsDeadlineResolvesExpired) {
+  ServeFixture F(4);
+  ASSERT_GE(F.Tasks.size(), 2u);
+  serve::EngineOptions EO = coalesceOptions();
+  serve::Engine Eng(*F.Slade, EO);
+  const core::EvalTask &T = F.Tasks[0];
+  warmDecodeCache(Eng, {&T});
+
+  VerifyGate Gate;
+  Gate.hold(Eng, F.Tasks[1]);
+  serve::Handle Leader = Eng.submit({"leader", "", {}, {}, &T});
+  // Fence before the deadlined follower: the admission queue serves
+  // deadlines first, and the follower must arrive second.
+  dispatchFence(Eng, T);
+  serve::DecompileRequest FR{"late", "", {}, {}, &T};
+  FR.Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  serve::Handle Late = Eng.submit(std::move(FR));
+  dispatchFence(Eng, T);
+  std::this_thread::sleep_for(std::chrono::milliseconds(350));
+  Gate.release();
+  serve::RequestResult RL = Leader.get();
+  ASSERT_TRUE(RL.ok());
+  expectSameOutcome(RL.Outcome, sequentialOutcome(*F.Slade, T, EO), 0);
+  serve::RequestResult RLate = Late.get();
+  EXPECT_EQ(RLate.Status, serve::RequestStatus::DeadlineExpired);
+  EXPECT_EQ(RLate.Name, "late");
+  Eng.stop();
+  serve::EngineMetrics M = Eng.metrics();
+  EXPECT_EQ(M.Expired, 1u);
+  EXPECT_EQ(M.VerifyCoalesced, 0u) << "an expired member is not served";
+  expectAccountingClosed(M);
+  EXPECT_EQ(M.Ok + M.Expired, M.Completed);
+}
+
+TEST(Engine, DegradedOutcomeIsNotShared) {
+  ServeFixture F(4);
+  ASSERT_GE(F.Tasks.size(), 2u);
+  serve::EngineOptions EO = coalesceOptions();
+  // Every produced candidate runs out of its (1 ns) verify budget.
+  EO.VerifyCandidateTimeout = 1e-9;
+  serve::Engine Eng(*F.Slade, EO);
+  const core::EvalTask &T = F.Tasks[0];
+  warmDecodeCache(Eng, {&T});
+
+  VerifyGate Gate;
+  Gate.hold(Eng, F.Tasks[1]);
+  std::vector<serve::Handle> H;
+  for (int I = 0; I < 3; ++I)
+    H.push_back(Eng.submit({"dup", "", {}, {}, &T}));
+  dispatchFence(Eng, T);
+  Gate.release();
+  for (serve::Handle &Hd : H) {
+    serve::RequestResult R = Hd.get();
+    ASSERT_TRUE(R.ok());
+    EXPECT_TRUE(R.Degraded);
+  }
+  Eng.stop();
+  serve::EngineMetrics M = Eng.metrics();
+  EXPECT_EQ(M.VerifyCoalesced, 0u) << "each member verifies on its own";
+  EXPECT_GE(M.VerifyTimeouts, 3u);
+  expectAccountingClosed(M);
+}
+
+TEST(Engine, FaultInjectorTurnsCoalescingOff) {
+  ServeFixture F(4);
+  ASSERT_GE(F.Tasks.size(), 2u);
+  serve::EngineOptions EO = coalesceOptions();
+  // Enabled, but no fault this rare ever fires: faults key on each
+  // request's own Seq, so identical requests must verify separately.
+  EO.Faults.Seed = 5;
+  EO.Faults.SlowTick = 1e-12;
+  serve::Engine Eng(*F.Slade, EO);
+  const core::EvalTask &T = F.Tasks[0];
+  warmDecodeCache(Eng, {&T});
+
+  VerifyGate Gate;
+  Gate.hold(Eng, F.Tasks[1]);
+  std::vector<serve::Handle> H;
+  for (int I = 0; I < 3; ++I)
+    H.push_back(Eng.submit({"dup", "", {}, {}, &T}));
+  dispatchFence(Eng, T);
+  Gate.release();
+  core::HypothesisOutcome Seq = sequentialOutcome(*F.Slade, T, EO);
+  for (size_t I = 0; I < H.size(); ++I) {
+    serve::RequestResult R = H[I].get();
+    ASSERT_TRUE(R.ok());
+    expectSameOutcome(R.Outcome, Seq, I);
+  }
+  Eng.stop();
+  serve::EngineMetrics M = Eng.metrics();
+  EXPECT_EQ(M.VerifyCoalesced, 0u);
+  expectAccountingClosed(M);
 }
 
 } // namespace

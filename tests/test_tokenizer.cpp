@@ -1,8 +1,14 @@
 //===- test_tokenizer.cpp - UnigramLM tokenizer tests -------------------------===//
 
+#include "TokenizerOracle.h"
+#include "core/Compile.h"
+#include "dataset/Generator.h"
+#include "support/RNG.h"
 #include "tok/Tokenizer.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
 
 using namespace slade;
 using namespace slade::tok;
@@ -105,6 +111,88 @@ TEST_F(TrainedTokenizer, SaveLoadRoundTrip) {
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.errorMessage();
   std::string Src = "int f(int a) { return a * 3; }";
   EXPECT_EQ(Loaded->encode(Src), tokenizer().encode(Src));
+}
+
+/// Generator corpora: the C sources and their x86/ARM, O0/O3 assembly.
+std::vector<std::string> generatorTexts() {
+  dataset::Corpus C =
+      dataset::buildCorpus(dataset::Suite::ExeBench, 24, 0, /*Seed=*/4242);
+  std::vector<std::string> Texts;
+  for (const dataset::Sample &S : C.Train) {
+    Texts.push_back(S.FunctionSource);
+    for (asmx::Dialect D : {asmx::Dialect::X86, asmx::Dialect::Arm})
+      for (bool Optimize : {false, true}) {
+        auto Prog = core::compileProgram(S.FunctionSource, S.ContextSource,
+                                         S.Name, D, Optimize);
+        if (Prog.hasValue())
+          Texts.push_back(Prog->TargetAsm);
+      }
+  }
+  return Texts;
+}
+
+/// Seeded adversarial inputs: raw random bytes (every value, whitespace
+/// and non-ASCII included), and runs of vocabulary pieces glued with
+/// and without spaces, so equal-score segmentations are common.
+std::vector<std::string> randomTexts(const Tokenizer &Tok, uint64_t Seed,
+                                     size_t Count) {
+  SplitMix64 Rng(Seed);
+  std::vector<std::string> Out;
+  for (size_t I = 0; I < Count; ++I) {
+    std::string T;
+    size_t Len = static_cast<size_t>(Rng.range(0, 64));
+    if (I % 2 == 0) {
+      for (size_t J = 0; J < Len; ++J)
+        T.push_back(static_cast<char>(Rng.below(256)));
+    } else {
+      for (size_t J = 0; J < Len / 4; ++J) {
+        T += Tok.piece(static_cast<int>(Rng.below(Tok.vocabSize())));
+        if (Rng.below(3) == 0)
+          T.push_back(' ');
+      }
+    }
+    Out.push_back(std::move(T));
+  }
+  return Out;
+}
+
+void expectMatchesOracle(const Tokenizer &Tok,
+                         const std::vector<std::string> &Texts) {
+  reference::TokenizerOracle Oracle(Tok);
+  size_t Mismatches = 0;
+  for (const std::string &T : Texts)
+    if (Tok.encode(T) != Oracle.encode(T))
+      ++Mismatches;
+  EXPECT_EQ(Mismatches, 0u) << "of " << Texts.size() << " inputs";
+}
+
+TEST(TokenizerTrie, MatchesOracleOnGeneratorCorpora) {
+  std::vector<std::string> Texts = generatorTexts();
+  ASSERT_GE(Texts.size(), 60u);
+  Tokenizer Tok = Tokenizer::train(Texts, Tokenizer::Config());
+  expectMatchesOracle(Tok, Texts);
+  expectMatchesOracle(Tok, randomTexts(Tok, 7, 20000));
+}
+
+TEST(TokenizerTrie, MatchesOracleOnShippedTokenizers) {
+  // The frozen serving-benchmark vocabularies, when the checkout has them.
+  for (const char *Name : {"slade_x86_O0", "slade_arm_O3"}) {
+    std::string Path = std::string(SLADE_SOURCE_DIR) +
+                       "/perfbench/checkpoints/" + Name + ".tok";
+    if (!std::ifstream(Path))
+      continue;
+    auto Tok = Tokenizer::load(Path);
+    ASSERT_TRUE(Tok.hasValue()) << Tok.errorMessage();
+    expectMatchesOracle(*Tok, generatorTexts());
+    expectMatchesOracle(*Tok, randomTexts(*Tok, 11, 20000));
+  }
+}
+
+TEST(TokenizerTrie, EmptyVocabularyEncodesEveryByteUnknown) {
+  Tokenizer Tok;
+  std::vector<int> Ids = Tok.encode("ab 1");
+  // "a", "b", metaspace (3 bytes) + "1".
+  EXPECT_EQ(Ids, std::vector<int>(6, Tokenizer::UnkId));
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -196,12 +197,89 @@ bool parseIntAtLeast(const char *V, int Min, int *Out) {
   return true;
 }
 
+/// Strict number parse: the whole of \p V must be a finite decimal
+/// number >= \p Min.
+bool parseDoubleAtLeast(const char *V, double Min, double *Out) {
+  char *End = nullptr;
+  double X = std::strtod(V, &End);
+  if (End == V || *End != '\0' || !std::isfinite(X) || X < Min)
+    return false;
+  *Out = X;
+  return true;
+}
+
 bool parseArgs(int argc, char **argv, CliOptions *O) {
+  // Numeric flags, parsed strictly: a malformed or out-of-range value is
+  // a usage error, never a silent 0.
+  struct IntFlag {
+    const char *Name;
+    int Min;
+    int *Out;
+  };
+  const IntFlag IntFlags[] = {
+      {"--demo", 0, &O->DemoN},
+      {"--dup", 1, &O->DemoDup},
+      {"--draft-gamma", 1, &O->Serve.DraftGamma},
+      {"--beam", 1, &O->Serve.BeamSize},
+      {"--maxlen", 1, &O->Serve.MaxLen},
+      {"--threads", 0, &O->Serve.Threads},
+      {"--enc-cache-mb", 0, &O->EncCacheMb},
+      {"--dec-cache-mb", 0, &O->DecCacheMb},
+      {"--shards", 0, &O->Shards},
+      {"--live", 1, &O->MaxLive},
+      {"--queue", 1, &O->QueueCap},
+      {"--verify-retries", 0, &O->VerifyRetries},
+      {"--trace-sample", 1, &O->TraceSample},
+  };
+  struct FloatFlag {
+    const char *Name;
+    double *Out;
+  };
+  const FloatFlag FloatFlags[] = {
+      {"--rate", &O->Rate},
+      {"--deadline-ms", &O->DeadlineMs},
+      {"--drain-ms", &O->DrainMs},
+      {"--verify-timeout-ms", &O->VerifyTimeoutMs},
+      {"--fault-encode-throw", &O->FaultEncodeThrow},
+      {"--fault-verify-throw", &O->FaultVerifyThrow},
+      {"--fault-verify-hang", &O->FaultVerifyHang},
+      {"--fault-slow-tick", &O->FaultSlowTick},
+  };
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
     auto Next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
+    const IntFlag *IF = nullptr;
+    for (const IntFlag &F : IntFlags)
+      if (A == F.Name)
+        IF = &F;
+    if (IF) {
+      const char *V = Next();
+      if (!V)
+        return false;
+      if (!parseIntAtLeast(V, IF->Min, IF->Out)) {
+        std::fprintf(stderr, "error: %s must be an integer >= %d\n",
+                     IF->Name, IF->Min);
+        return false;
+      }
+      continue;
+    }
+    const FloatFlag *FF = nullptr;
+    for (const FloatFlag &F : FloatFlags)
+      if (A == F.Name)
+        FF = &F;
+    if (FF) {
+      const char *V = Next();
+      if (!V)
+        return false;
+      if (!parseDoubleAtLeast(V, 0, FF->Out)) {
+        std::fprintf(stderr, "error: %s must be a number >= 0\n",
+                     FF->Name);
+        return false;
+      }
+      continue;
+    }
     if (A == "--isa") {
       const char *V = Next();
       if (!V)
@@ -218,16 +296,6 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       if (!V)
         return false;
       O->CorpusPath = V;
-    } else if (A == "--demo") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->DemoN = std::atoi(V);
-    } else if (A == "--dup") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->DemoDup = std::max(1, std::atoi(V));
     } else if (A == "--constrain") {
       const char *V = Next();
       if (!V)
@@ -256,73 +324,8 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
         return false;
       }
       O->Serve.Speculate = O->Speculate;
-    } else if (A == "--draft-gamma") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->Serve.DraftGamma = std::max(1, std::atoi(V));
-    } else if (A == "--beam") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseIntAtLeast(V, 1, &O->Serve.BeamSize)) {
-        std::fprintf(stderr, "error: --beam must be an integer >= 1\n");
-        return false;
-      }
-    } else if (A == "--maxlen") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseIntAtLeast(V, 1, &O->Serve.MaxLen)) {
-        std::fprintf(stderr, "error: --maxlen must be an integer >= 1\n");
-        return false;
-      }
-    } else if (A == "--threads") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->Serve.Threads = std::atoi(V);
-    } else if (A == "--enc-cache-mb") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseIntAtLeast(V, 0, &O->EncCacheMb)) {
-        std::fprintf(stderr,
-                     "error: --enc-cache-mb must be an integer >= 0\n");
-        return false;
-      }
-    } else if (A == "--dec-cache-mb") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseIntAtLeast(V, 0, &O->DecCacheMb)) {
-        std::fprintf(stderr,
-                     "error: --dec-cache-mb must be an integer >= 0\n");
-        return false;
-      }
-    } else if (A == "--shards") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->Shards = std::max(0, std::atoi(V));
-      O->Serve.Shards = O->Shards;
     } else if (A == "--stream") {
       O->Stream = true;
-    } else if (A == "--rate") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->Rate = std::atof(V);
-    } else if (A == "--live") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->MaxLive = std::max(1, std::atoi(V));
-    } else if (A == "--queue") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->QueueCap = std::max(1, std::atoi(V));
     } else if (A == "--arrival-seed") {
       const char *V = Next();
       if (!V)
@@ -330,67 +333,18 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       O->ArrivalSeed = static_cast<uint64_t>(std::atoll(V));
     } else if (A == "--stream-compare") {
       O->StreamCompare = true;
-    } else if (A == "--deadline-ms") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->DeadlineMs = std::atof(V);
     } else if (A == "--shed") {
       O->Shed = true;
-    } else if (A == "--drain-ms") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->DrainMs = std::atof(V);
-    } else if (A == "--verify-timeout-ms") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->VerifyTimeoutMs = std::atof(V);
-    } else if (A == "--verify-retries") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->VerifyRetries = std::max(0, std::atoi(V));
     } else if (A == "--fault-seed") {
       const char *V = Next();
       if (!V)
         return false;
       O->FaultSeed = static_cast<uint64_t>(std::atoll(V));
-    } else if (A == "--fault-encode-throw") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->FaultEncodeThrow = std::atof(V);
-    } else if (A == "--fault-verify-throw") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->FaultVerifyThrow = std::atof(V);
-    } else if (A == "--fault-verify-hang") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->FaultVerifyHang = std::atof(V);
-    } else if (A == "--fault-slow-tick") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->FaultSlowTick = std::atof(V);
     } else if (A == "--trace-out") {
       const char *V = Next();
       if (!V)
         return false;
       O->TraceOut = V;
-    } else if (A == "--trace-sample") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->TraceSample = std::atoi(V);
-      if (O->TraceSample < 1) {
-        std::fprintf(stderr, "error: --trace-sample must be >= 1\n");
-        return false;
-      }
     } else if (A == "--trace-seed") {
       const char *V = Next();
       if (!V)
@@ -422,6 +376,7 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       O->AsmFiles.push_back(A);
     }
   }
+  O->Serve.Shards = O->Shards;
   return true;
 }
 
@@ -806,11 +761,17 @@ void printStreamMetrics(const char *Label, const StreamOutcome &SO) {
         static_cast<unsigned long long>(EM.SpecFallbacks),
         EM.DraftSeconds);
   std::fprintf(stderr,
-               "[%s] %zu attached in flight, decode cache %zu hits / %zu "
-               "misses (%.1f KiB); per-shard utilization:",
-               Label, EM.InFlightDeduped, EM.DecodeCacheHits,
-               EM.DecodeCacheMisses,
-               static_cast<double>(EM.DecodeCacheBytes) / 1024.0);
+               "[%s] %zu attached in flight, %zu verifies coalesced, "
+               "decode cache %zu hits / %zu misses (%.1f KiB), encoder "
+               "cache %llu hits / %llu misses / %llu evicted (%.1f KiB); "
+               "per-shard utilization:",
+               Label, EM.InFlightDeduped, EM.VerifyCoalesced,
+               EM.DecodeCacheHits, EM.DecodeCacheMisses,
+               static_cast<double>(EM.DecodeCacheBytes) / 1024.0,
+               static_cast<unsigned long long>(EM.EncoderCacheHits),
+               static_cast<unsigned long long>(EM.EncoderCacheMisses),
+               static_cast<unsigned long long>(EM.EncoderCacheEvictions),
+               static_cast<double>(EM.EncoderCacheBytes) / 1024.0);
   for (size_t S = 0; S < EM.Shards.size(); ++S)
     std::fprintf(stderr, " [%zu] %zu src / %llu ticks / %.3fs", S,
                  EM.Shards[S].Sources,
@@ -855,6 +816,11 @@ std::string streamJson(const char *Label, const StreamOutcome &SO) {
        << ", \"decode_cache_hits\": " << EM.DecodeCacheHits
        << ", \"decode_cache_misses\": " << EM.DecodeCacheMisses
        << ", \"decode_cache_bytes\": " << EM.DecodeCacheBytes
+       << ", \"verify_coalesced\": " << EM.VerifyCoalesced
+       << ", \"enc_cache_hits\": " << EM.EncoderCacheHits
+       << ", \"enc_cache_misses\": " << EM.EncoderCacheMisses
+       << ", \"enc_cache_evictions\": " << EM.EncoderCacheEvictions
+       << ", \"enc_cache_bytes\": " << EM.EncoderCacheBytes
        << ", \"shards\": [";
     for (size_t S = 0; S < EM.Shards.size(); ++S) {
       if (S)
@@ -925,6 +891,7 @@ int main(int argc, char **argv) {
   // -- assemble the job list --------------------------------------------------
   std::vector<serve::TranslateJob> AsmJobs;
   std::vector<core::EvalTask> Tasks; // Verified (function+context) jobs.
+  size_t DemoTasks = 0;              // The first DemoTasks are --demo's.
 
   if (O.DemoN > 0) {
     std::fprintf(stderr, "[serve] generating %d demo functions...\n",
@@ -933,18 +900,7 @@ int main(int argc, char **argv) {
         dataset::Suite::ExeBench, 0, static_cast<size_t>(O.DemoN),
         /*Seed=*/20240202);
     Tasks = core::buildTasks(Corpus.Test, O.D, O.Optimize);
-    if (O.DemoDup > 1) {
-      // Duplicate-heavy traffic: every function is requested F times, as
-      // when the same routine recurs across submitted binaries.
-      std::vector<core::EvalTask> Dup;
-      Dup.reserve(Tasks.size() * static_cast<size_t>(O.DemoDup));
-      for (int R = 0; R < O.DemoDup; ++R)
-        for (const core::EvalTask &T : Tasks) {
-          Dup.push_back(T);
-          Dup.back().Name += "#" + std::to_string(R);
-        }
-      Tasks = std::move(Dup);
-    }
+    DemoTasks = Tasks.size();
   }
   if (!O.CorpusPath.empty()) {
     auto Entries = serve::loadCorpusJsonl(O.CorpusPath);
@@ -989,6 +945,23 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: no servable jobs\n");
     return 1;
   }
+  // The verified requests, each naming its task. --dup F requests every
+  // demo function F times, as when the same routine recurs across
+  // submitted binaries: each request has its own name ("#r") but all of
+  // them share the function's one task.
+  struct TaskRequest {
+    std::string Name;
+    const core::EvalTask *Task;
+  };
+  std::vector<TaskRequest> Requests;
+  for (int R = 0; R < O.DemoDup; ++R)
+    for (size_t I = 0; I < DemoTasks; ++I)
+      Requests.push_back(
+          {O.DemoDup > 1 ? Tasks[I].Name + "#" + std::to_string(R)
+                         : Tasks[I].Name,
+           &Tasks[I]});
+  for (size_t I = DemoTasks; I < Tasks.size(); ++I)
+    Requests.push_back({Tasks[I].Name, &Tasks[I]});
 
   // -- model ------------------------------------------------------------------
   core::TrainedSystem Sys = loadOrTrain(O);
@@ -1002,8 +975,8 @@ int main(int argc, char **argv) {
     // proposes — every committed step is full-model verified — so a
     // mediocre distillation costs speed, never output bytes.
     std::vector<std::vector<int>> Sources;
-    for (const core::EvalTask &T : Tasks)
-      Sources.push_back(Slade.tokenizer().encode(T.Prog.TargetAsm));
+    for (const TaskRequest &R : Requests)
+      Sources.push_back(Slade.tokenizer().encode(R.Task->Prog.TargetAsm));
     for (const serve::TranslateJob &J : AsmJobs)
       Sources.push_back(Slade.tokenizer().encode(J.Asm));
     size_t Cap = static_cast<size_t>(
@@ -1082,8 +1055,8 @@ int main(int argc, char **argv) {
   // -- streaming replay --------------------------------------------------------
   if (O.Stream) {
     std::vector<StreamItem> Items;
-    for (const core::EvalTask &T : Tasks)
-      Items.push_back({T.Name, &T, "", 0});
+    for (const TaskRequest &R : Requests)
+      Items.push_back({R.Name, R.Task, "", 0});
     for (const serve::TranslateJob &J : AsmJobs)
       Items.push_back({J.Name, nullptr, J.Asm, 0});
     double Rate = O.Rate > 0
@@ -1189,10 +1162,17 @@ int main(int argc, char **argv) {
   }
 
   // -- verified (full pipeline) jobs ------------------------------------------
-  if (!Tasks.empty()) {
+  if (!Requests.empty()) {
+    // The batch front takes whole tasks: one named copy per request.
+    std::vector<core::EvalTask> Batch;
+    Batch.reserve(Requests.size());
+    for (const TaskRequest &R : Requests) {
+      Batch.push_back(*R.Task);
+      Batch.back().Name = R.Name;
+    }
     std::vector<core::HypothesisOutcome> Served;
     if (!O.Sequential || O.Check)
-      Served = Sched.decompileAll(Tasks);
+      Served = Sched.decompileAll(Batch);
     serve::ServeMetrics ServedM = Sched.metrics();
     if (!O.Sequential || O.Check)
       printMetrics("serve", ServedM);
@@ -1212,8 +1192,8 @@ int main(int argc, char **argv) {
       Slade.clearEncoderCache();
       auto T0 = std::chrono::steady_clock::now();
       std::vector<core::HypothesisOutcome> Seq;
-      Seq.reserve(Tasks.size());
-      for (const core::EvalTask &T : Tasks)
+      Seq.reserve(Batch.size());
+      for (const core::EvalTask &T : Batch)
         Seq.push_back(Slade.decompile(T, DOpts));
       double Secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -1221,18 +1201,18 @@ int main(int argc, char **argv) {
               .count();
       std::fprintf(stderr,
                    "[sequential] %zu functions in %.3fs = %.2f fn/s\n",
-                   Tasks.size(), Secs,
-                   static_cast<double>(Tasks.size()) / Secs);
+                   Batch.size(), Secs,
+                   static_cast<double>(Batch.size()) / Secs);
       if (O.Check) {
         size_t Mismatches = 0;
-        for (size_t I = 0; I < Tasks.size(); ++I)
+        for (size_t I = 0; I < Batch.size(); ++I)
           if (Served[I].CSource != Seq[I].CSource ||
               Served[I].IOCorrect != Seq[I].IOCorrect)
             ++Mismatches;
         std::fprintf(stderr,
                      "[check] %zu/%zu byte-identical outputs; speedup "
                      "%.2fx\n",
-                     Tasks.size() - Mismatches, Tasks.size(),
+                     Batch.size() - Mismatches, Batch.size(),
                      Secs / ServedM.TotalSeconds);
         if (Mismatches) {
           std::fprintf(stderr, "error: served != sequential outputs\n");
@@ -1244,9 +1224,9 @@ int main(int argc, char **argv) {
     }
 
     size_t IOCorrect = 0, Compiles = 0;
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      Gate.check(Tasks[I].Name, Served[I].CSource);
-      Results << outcomeJson(Tasks[I].Name, Served[I]) << "\n";
+    for (size_t I = 0; I < Batch.size(); ++I) {
+      Gate.check(Batch[I].Name, Served[I].CSource);
+      Results << outcomeJson(Batch[I].Name, Served[I]) << "\n";
       IOCorrect += Served[I].IOCorrect;
       Compiles += Served[I].Compiles;
     }
@@ -1254,10 +1234,10 @@ int main(int argc, char **argv) {
       Results << metricsJson("serve", ServedM) << "\n";
     std::fprintf(stderr,
                  "[serve] IO-correct %zu/%zu (%.1f%%), compiles %zu/%zu\n",
-                 IOCorrect, Tasks.size(),
+                 IOCorrect, Batch.size(),
                  100.0 * static_cast<double>(IOCorrect) /
-                     static_cast<double>(Tasks.size()),
-                 Compiles, Tasks.size());
+                     static_cast<double>(Batch.size()),
+                 Compiles, Batch.size());
   }
 
   // -- raw translation jobs ----------------------------------------------------
